@@ -30,7 +30,7 @@ from .fock import (
     suggested_dim,
 )
 from .phase import build_R_ops
-from .twomode import ladders_sparse, number_diagonals
+from .twomode import charge_sectors, ladders_sparse, number_diagonals
 
 __all__ = [
     "SqueezeSpec",
@@ -295,27 +295,36 @@ def disentangle_identity_residual(
     The factors act unboundedly, so the comparison is restricted to the
     block n1, n2 < dims/3 where the truncated exponentials are converged;
     entries nearer the edge are truncation artifacts by contract.
+
+    The identity is checked in each sector of conserved charge n1 - n2:
+    K0, K+ and K- never change the charge, and truncating n1 and n2 only
+    shortens each sector, so both sides are block diagonal over the sectors
+    and the cross-sector entries vanish identically.  Sectors that reach no
+    interior entry are skipped.
     """
     da, db = dims
-    a1, a2 = ladders_sparse(da, db)
-    pair_down = (a1 @ a2).toarray()
-    pair_up = pair_down.conj().T
-    n1, n2 = number_diagonals(da, db)
-    k0_diag = (n1 + n2 + 1.0) / 2.0
-    coeffs = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
-    lhs = matrix_exponential(
-        zeta0 * np.diag(k0_diag) + zeta_plus * pair_up + zeta_minus * pair_down
-    )
-    rhs = (
-        _nilpotent_exp_matrix(coeffs.gamma_plus * pair_up)
-        @ np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
-        @ _nilpotent_exp_matrix(coeffs.gamma_minus * pair_down)
-    )
     cut_a, cut_b = da // 3, db // 3
-    keep = (n1 < cut_a) & (n2 < cut_b)
-    idx = np.flatnonzero(keep)
-    block = lhs[np.ix_(idx, idx)] - rhs[np.ix_(idx, idx)]
-    return float(np.abs(block).max())
+    if cut_a < 1 or cut_b < 1:
+        raise ValueError("dims must be at least 3 for a non-empty interior block")
+    coeffs = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
+    worst = 0.0
+    for n1, n2 in charge_sectors(da, db).values():
+        keep = (n1 < cut_a) & (n2 < cut_b)
+        if not keep.any():
+            continue
+        k0_diag = (n1 + n2 + 1.0) / 2.0
+        pair_down = np.diag(np.sqrt(n1[1:]) * np.sqrt(n2[1:]), 1)
+        pair_up = pair_down.T
+        lhs = matrix_exponential(
+            zeta0 * np.diag(k0_diag) + zeta_plus * pair_up + zeta_minus * pair_down
+        )
+        rhs = (
+            _nilpotent_exp_matrix(coeffs.gamma_plus * pair_up)
+            @ np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
+            @ _nilpotent_exp_matrix(coeffs.gamma_minus * pair_down)
+        )
+        worst = max(worst, float(np.abs((lhs - rhs)[np.ix_(keep, keep)]).max()))
+    return worst
 
 
 # ------------------------------------------------------------------ two mode

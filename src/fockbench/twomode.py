@@ -1,4 +1,5 @@
-"""Two-mode ladder operators on a rectangular truncated basis.
+"""Two-mode ladder operators, number diagonals and charge sectors on a
+rectangular truncated basis.
 
 Index order is row-major in (n1, n2): mode 1 varies slowest.  Dense and
 sparse variants share the same convention a1 = a x I, a2 = I x a.
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 
 from .fock import build_ladder
 
-__all__ = ["ladders_dense", "ladders_sparse", "number_diagonals"]
+__all__ = ["ladders_dense", "ladders_sparse", "number_diagonals", "charge_sectors"]
 
 
 def ladders_dense(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,3 +36,19 @@ def number_diagonals(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.repeat(np.arange(dim_a), dim_b).astype(float)
     n2 = np.tile(np.arange(dim_b), dim_a).astype(float)
     return n1, n2
+
+
+def charge_sectors(dim_a: int, dim_b: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Occupations (n1, n2) of each charge sector q = n1 - n2.
+
+    Within a sector both occupations rise by one per step, so the pair
+    operator a1 a2 is the single superdiagonal (sqrt(n1) sqrt(n2))[1:], its
+    adjoint the subdiagonal, and K0 = (n1 + n2 + 1)/2 is diagonal.  The
+    truncation n1 < dim_a, n2 < dim_b only shortens sectors, so these
+    blocks are exact.
+    """
+    sectors = {}
+    for q in range(1 - dim_b, dim_a):
+        n2 = np.arange(max(0, -q), min(dim_b, dim_a - q))
+        sectors[q] = (n2 + q, n2)
+    return sectors

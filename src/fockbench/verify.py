@@ -58,6 +58,12 @@ def _deficit(f: float) -> float:
     return max(0.0, 1.0 - f)
 
 
+def _pinned(cfg: dict, name: str, default):
+    """The pinned value of `name`, zero included; `default` when unpinned."""
+    value = cfg.get(name)
+    return default if value is None else value
+
+
 def _violation(value: float, floor: float) -> float:
     """Amount by which `value` undershoots `floor` (0 when satisfied)."""
     return max(0.0, floor - value)
@@ -72,7 +78,7 @@ def suite_ho_algebra(cfg) -> list[Check]:
         a, adag = build_ladder(d)
         defect = np.abs((a @ adag - adag @ a - np.eye(d))[: d - 1, : d - 1]).max()
         checks.append(Check(f"ladder commutator interior dim {d}", float(defect), 1e-12))
-    dim = cfg.get("dim") or 32
+    dim = _pinned(cfg, "dim", 32)
     a, adag = build_ladder(dim)
     n_op = number_operator(dim)
     checks.append(
@@ -118,7 +124,7 @@ def suite_ho_algebra(cfg) -> list[Check]:
 
 
 def suite_coherent(cfg) -> list[Check]:
-    dim = cfg.get("dim") or 64
+    dim = _pinned(cfg, "dim", 64)
     alphas = [0.5, 1 + 1j, 2.0, 3.0]
     extra = cfg.get("alpha")
     if extra is not None and extra not in alphas:
@@ -162,8 +168,8 @@ def suite_coherent(cfg) -> list[Check]:
 
 
 def suite_time_evolution(cfg) -> list[Check]:
-    dim = cfg.get("dim") or 64
-    alpha0 = cfg.get("alpha") or 2.0
+    dim = _pinned(cfg, "dim", 64)
+    alpha0 = _pinned(cfg, "alpha", 2.0)
     a, adag = build_ladder(dim)
     h = adag @ a + 0.5 * np.eye(dim)
     base = co.coherent_ladder(co.CoherentSpec(alpha0, dim))
@@ -237,7 +243,7 @@ def suite_pair(cfg) -> list[Check]:
 
 
 def suite_phase(cfg) -> list[Check]:
-    dim = cfg.get("dim") or 64
+    dim = _pinned(cfg, "dim", 64)
     ops = ph.build_phase_set(dim)
     eye = np.eye(dim)
     checks = []
@@ -278,7 +284,7 @@ def suite_phase(cfg) -> list[Check]:
 
 
 def suite_single_squeeze(cfg) -> list[Check]:
-    dim = cfg.get("dim") or 96
+    dim = _pinned(cfg, "dim", 96)
     checks = []
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
@@ -338,8 +344,8 @@ def suite_single_squeeze(cfg) -> list[Check]:
 
 
 def suite_two_squeeze(cfg) -> list[Check]:
-    theta = cfg.get("theta") or 0.5
-    dim = cfg.get("dim") or 40
+    theta = _pinned(cfg, "theta", 0.5)
+    dim = _pinned(cfg, "dim", 40)
     dims = (dim, dim)
     checks = []
     tm = sq.two_mode_squeezed_vacuum(1.0, dims)
@@ -369,8 +375,8 @@ def suite_two_squeeze(cfg) -> list[Check]:
 
 
 def suite_factorization(cfg) -> list[Check]:
-    theta = cfg.get("theta") or 0.5
-    dim = cfg.get("dim") or 40
+    theta = _pinned(cfg, "theta", 0.5)
+    dim = _pinned(cfg, "dim", 40)
     checks = []
     comm, annih, deficit = sq.lambda_mode_factorization(theta, (dim, dim))
     checks.append(Check("rotated-mode commutators", comm, 1e-10))
@@ -392,7 +398,7 @@ def suite_factorization(cfg) -> list[Check]:
 
 
 def suite_sqm(cfg) -> list[Check]:
-    lam = cfg.get("lam") or 1.0
+    lam = _pinned(cfg, "lam", 1.0)
     checks = []
     worst_ortho = 0.0
     for l in (-2.0, lam, 5.0):

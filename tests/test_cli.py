@@ -85,6 +85,21 @@ def test_verify_exit_codes(tmp_path):
                    "--out", str(tmp_path / "r0.json")) == 1
 
 
+def test_verify_honours_pinned_zero_alpha(capsys):
+    assert run_cli("verify", "--suite", "time-evolution", "--alpha", "0") == 0
+    checks = {c["name"]: c["measured"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    # at alpha = 0 the classical trajectory is identically zero
+    assert checks["harmonic motion second difference"] == 0.0
+
+
+def test_verify_pinned_pole_lambda_exits_two(capsys):
+    assert run_cli("verify", "--suite", "sqm", "--lam", "0") == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_verify_artifact_deterministic(tmp_path):
     paths = [tmp_path / "v1.json", tmp_path / "v2.json"]
     for path in paths:

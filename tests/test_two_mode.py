@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from fockbench.fock import matrix_exponential
 from fockbench.squeezing import (
+    _nilpotent_exp_matrix,
     disentangle_identity_residual,
     generalized_condition_solution,
     lambda_mode_factorization,
     schmidt_profile,
+    su11_disentangle_general,
     two_mode_noise_report,
     two_mode_squeezed_vacuum,
     two_mode_theta_vacuum,
 )
-from fockbench.twomode import ladders_dense, number_diagonals
+from fockbench.twomode import charge_sectors, ladders_dense, ladders_sparse, number_diagonals
 
 
 def test_ladders_commute_across_modes():
@@ -66,6 +69,68 @@ def test_splitting_identity_on_interior():
         arg = rng.uniform(0.0, 2 * np.pi, 3)
         z0, zp, zm = mag * np.exp(1j * arg)
         assert disentangle_identity_residual(z0, zp, zm, (24, 24)) <= 1e-8
+
+
+@pytest.mark.parametrize("dims", [(5, 9), (9, 5), (24, 24)])
+def test_charge_sectors_reassemble_dense_generators(dims):
+    da, db = dims
+    a1, a2 = ladders_sparse(da, db)
+    pair_down = (a1 @ a2).toarray()
+    n1_all, n2_all = number_diagonals(da, db)
+    sectors = charge_sectors(da, db)
+    assert sorted(sectors) == list(range(1 - db, da))
+    down = np.zeros((da * db, da * db), dtype=complex)
+    up = np.zeros_like(down)
+    k0 = np.zeros(da * db)
+    for q, (n1, n2) in sectors.items():
+        assert np.array_equal(n1 - n2, np.full(n1.size, q))
+        idx = n1 * db + n2
+        block = np.diag(np.sqrt(n1[1:]) * np.sqrt(n2[1:]), 1)
+        down[np.ix_(idx, idx)] = block
+        up[np.ix_(idx, idx)] = block.T
+        k0[idx] = (n1 + n2 + 1.0) / 2.0
+    covered = np.concatenate([n1 * db + n2 for n1, n2 in sectors.values()])
+    assert np.array_equal(np.sort(covered), np.arange(da * db))
+    assert np.array_equal(down, pair_down)
+    assert np.array_equal(up, pair_down.conj().T)
+    assert np.array_equal(k0, (n1_all + n2_all + 1.0) / 2.0)
+
+
+def _dense_identity_residual(zeta0, zeta_plus, zeta_minus, dims):
+    """The splitting residual on the whole two-mode space, without sectors."""
+    da, db = dims
+    a1, a2 = ladders_sparse(da, db)
+    pair_down = (a1 @ a2).toarray()
+    pair_up = pair_down.conj().T
+    n1, n2 = number_diagonals(da, db)
+    k0_diag = (n1 + n2 + 1.0) / 2.0
+    coeffs = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
+    lhs = matrix_exponential(
+        zeta0 * np.diag(k0_diag) + zeta_plus * pair_up + zeta_minus * pair_down
+    )
+    rhs = (
+        _nilpotent_exp_matrix(coeffs.gamma_plus * pair_up)
+        @ np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
+        @ _nilpotent_exp_matrix(coeffs.gamma_minus * pair_down)
+    )
+    idx = np.flatnonzero((n1 < da // 3) & (n2 < db // 3))
+    return float(np.abs(lhs[np.ix_(idx, idx)] - rhs[np.ix_(idx, idx)]).max())
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (9, 15), (15, 9)])
+def test_sector_residual_matches_dense_reference(dims):
+    rng = np.random.default_rng(4119)
+    for _ in range(3):
+        mag = rng.uniform(0.0, 0.5, 3)
+        arg = rng.uniform(0.0, 2 * np.pi, 3)
+        z0, zp, zm = mag * np.exp(1j * arg)
+        sector = disentangle_identity_residual(z0, zp, zm, dims)
+        assert abs(sector - _dense_identity_residual(z0, zp, zm, dims)) <= 1e-13
+
+
+def test_splitting_residual_needs_an_interior():
+    with pytest.raises(ValueError):
+        disentangle_identity_residual(0.1, 0.2, 0.3, (2, 24))
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.5, 1.0])
