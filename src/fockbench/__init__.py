@@ -19,6 +19,5 @@ from .fock import (
     quadrature_report,
     suggested_dim,
 )
-from .units import UNITS, NaturalUnits
 
 __version__ = "0.1.0"

@@ -19,6 +19,8 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from . import phase as ph
 from . import sqm
 from . import squeezing as sq
 from . import su11
-from .fock import FockState, TwoModeState, quadrature_report
+from .fock import FockState, quadrature_report
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -35,33 +37,6 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 BUILTIN_DIM = 64
 MODAL_LEVELS = 12
-
-FAMILIES = (
-    "coherent",
-    "squeezed",
-    "theta-vacuum",
-    "two-mode",
-    "pair",
-    "perelomov",
-    "parity-pair",
-    "phase-squeezed",
-    "lambda-coherent",
-    "lambda-squeezed",
-)
-
-# parameters each family insists on; phi defaults to 0 where it applies
-REQUIRED_PARAMS = {
-    "coherent": ("alpha",),
-    "squeezed": ("r",),
-    "theta-vacuum": ("theta",),
-    "two-mode": ("theta",),
-    "pair": ("zeta", "q"),
-    "perelomov": ("k", "xi"),
-    "parity-pair": ("zeta", "q"),
-    "phase-squeezed": ("r", "m"),
-    "lambda-coherent": ("lam", "z"),
-    "lambda-squeezed": ("lam", "xi", "z"),
-}
 
 
 class UsageError(Exception):
@@ -155,7 +130,8 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and for each subcommand its actions by destination."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dim", type=int, default=None, help="Fock truncation")
     common.add_argument("--config", default=None, help="key=value file with defaults")
@@ -196,23 +172,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument("--x-min", type=float, default=None, dest="x_min")
     p_wave.add_argument("--x-max", type=float, default=None, dest="x_max")
     p_wave.add_argument("--points", type=int, default=None)
-    return parser
+    options = {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+    return parser, options
 
 
-def _parse_config_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
+def _config_value(action: argparse.Action, text: str, where: str):
+    """A config value converted exactly as its flag would convert it."""
     try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        return text
+        value = text if action.type is None else action.type(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{where}: invalid {action.type.__name__} value: {text!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise UsageError(f"{where}: invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from a key=value file; flags always win."""
+def _apply_config(args: argparse.Namespace, options: dict) -> None:
+    """Fill unset options from a key=value file; flags always win.
+
+    `options` maps each destination of the subcommand to its argparse
+    action, so every value gets the type and choices of its flag.
+    """
     if args.config is None:
         return
     try:
@@ -226,12 +209,14 @@ def _apply_config(args: argparse.Namespace) -> None:
             continue
         if "=" not in line:
             raise UsageError(f"{args.config}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        attr = key.strip().replace("-", "_")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("command", "config"):
-            raise UsageError(f"{args.config}:{lineno}: unknown key {key.strip()!r}")
+            raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
+        value = _config_value(options[attr], text.strip(), f"{args.config}:{lineno}: {key!r}")
         if getattr(args, attr) is None:
-            setattr(args, attr, _parse_config_value(value.strip()))
+            setattr(args, attr, value)
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
@@ -272,119 +257,230 @@ def _require(args: argparse.Namespace, names) -> dict:
     return values
 
 
-# ----------------------------------------------------------------- state
-
-
-def _report_payload(state: FockState):
-    rep = quadrature_report(state)
-    payload = {
-        "mean_x": rep.mean_x,
-        "mean_p": rep.mean_p,
-        "var_x": rep.var_x,
-        "var_p": rep.var_p,
-        "product": rep.product,
-    }
-    return payload, rep.tail_warning
-
-
-def _single_mode_payload(family, params, state: FockState, report=True) -> dict:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "state",
-        "family": family,
-        "parameters": {k: _param_value(v) for k, v in params.items()},
-        "dim": state.dim,
-        "amplitudes": _amp_pairs(state.amps),
-        "photon_distribution": [float(p) for p in np.abs(state.amps) ** 2],
-    }
-    if report:
-        rep, warn = _report_payload(state)
-        payload["quadrature_report"] = rep
-        if warn:
-            payload["tail_warning"] = True
-    else:
-        payload["quadrature_report"] = None
-    return payload
-
-
-def _two_mode_payload(family, params, state: TwoModeState) -> dict:
-    noise = sq.two_mode_noise_report(state)
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "state",
-        "family": family,
-        "parameters": {k: _param_value(v) for k, v in params.items()},
-        "dim": list(state.dims),
-        "amplitudes": _amp_pairs(state.amps),
-        "photon_distribution": [float(p) for p in (np.abs(state.amps) ** 2).ravel()],
-        "quadrature_report": {k: float(v) for k, v in noise.items()},
-    }
-
-
-def _modal_payload(family, params, coeffs: np.ndarray) -> dict:
-    rep = sqm.modal_quadrature_report(coeffs)
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "state",
-        "family": family,
-        "parameters": {k: _param_value(v) for k, v in params.items()},
-        "dim": int(coeffs.size),
-        "amplitudes": _amp_pairs(coeffs),
-        "photon_distribution": [float(p) for p in np.abs(coeffs) ** 2],
-        "quadrature_report": {k: float(v) for k, v in rep.items()},
-    }
+# ------------------------------------------------------- family pieces
 
 
 def _modal_levels(dim: int) -> int:
     return min(dim, MODAL_LEVELS)
 
 
-def _build_state_payload(args: argparse.Namespace) -> dict:
-    family, dim = args.family, args.dim
-    if family == "coherent":
-        p = _require(args, ("alpha",))
-        return _single_mode_payload(
-            family, p, co.coherent_ladder(co.CoherentSpec(p["alpha"], dim))
-        )
-    if family == "squeezed":
-        p = _require(args, ("r",))
-        p["phi"] = args.phi
-        return _single_mode_payload(
-            family, p, sq.squeezed_vacuum(sq.SqueezeSpec(p["r"], p["phi"], dim))
-        )
-    if family == "theta-vacuum":
-        p = _require(args, ("theta",))
-        return _single_mode_payload(family, p, sq.theta_vacuum(p["theta"], dim))
-    if family == "phase-squeezed":
-        p = _require(args, ("r", "m"))
-        p["phi"] = args.phi
-        _, state = ph.phase_squeeze_unitary(p["r"], p["phi"], p["m"], dim)
-        return _single_mode_payload(family, p, state)
-    if family == "perelomov":
-        p = _require(args, ("k", "xi"))
-        state = su11.perelomov_state(su11.SU11Rep(p["k"], dim), p["xi"])
-        # the ladder index is a weight label, not a photon number, so no
-        # quadrature report applies
-        return _single_mode_payload(family, p, state, report=False)
-    if family == "two-mode":
-        p = _require(args, ("theta",))
-        return _two_mode_payload(family, p, sq.two_mode_theta_vacuum(p["theta"], (dim, dim)))
-    if family == "pair":
-        p = _require(args, ("zeta", "q"))
-        state = su11.pair_coherent(su11.PairCoherentSpec(p["zeta"], p["q"], dim))
-        return _two_mode_payload(family, p, state)
-    if family == "parity-pair":
-        p = _require(args, ("zeta", "q"))
-        return _two_mode_payload(family, p, su11.parity_pair_state(p["zeta"], p["q"], dim))
-    if family == "lambda-coherent":
-        p = _require(args, ("lam", "z"))
-        coeffs = sqm.modal_coherent_coeffs(p["z"], _modal_levels(dim))
-        return _modal_payload(family, p, coeffs)
-    if family == "lambda-squeezed":
-        p = _require(args, ("lam", "xi", "z"))
-        coeffs = sqm.modal_squeezed_coeffs(p["xi"], p["z"], _modal_levels(dim))
-        return _modal_payload(family, p, coeffs)
-    raise UsageError("state needs --family")
+def _quadrature(state: FockState, warn: bool = True) -> dict:
+    rep = quadrature_report(state)
+    entries = {
+        "quadrature_report": {
+            "mean_x": rep.mean_x,
+            "mean_p": rep.mean_p,
+            "var_x": rep.var_x,
+            "var_p": rep.var_p,
+            "product": rep.product,
+        }
+    }
+    if warn and rep.tail_warning:
+        entries["tail_warning"] = True
+    return entries
+
+
+def _modal_quadrature(state: FockState) -> dict:
+    # the modal builders enforce their own level budget; the Fock-space
+    # tail heuristic does not apply to them
+    return _quadrature(state, warn=False)
+
+
+def _noise(state) -> dict:
+    noise = sq.two_mode_noise_report(state)
+    return {"quadrature_report": {k: float(v) for k, v in noise.items()}}
+
+
+def _mean_n(state: FockState) -> float:
+    probs = np.abs(state.amps) ** 2
+    return float(probs @ np.arange(state.dim))
+
+
+def _sweep_squeezed_r(value: float, args) -> list:
+    spec = sq.SqueezeSpec(value, args.phi, args.dim)
+    state = sq.squeezed_vacuum(spec)
+    rep = quadrature_report(state)
+    fid = state.fidelity(sq.squeezed_vacuum_closed_form(spec))
+    return [value, _mean_n(state), rep.var_x, rep.var_p, rep.product, fid]
+
+
+def _sweep_coherent_t(value: float, args) -> list:
+    if args.alpha is None:
+        raise UsageError("sweep over coherent needs --alpha")
+    state = co.evolve_coherent(co.EvolutionSpec(args.alpha, value), args.dim)
+    rep = quadrature_report(state)
+    return [value, rep.mean_x, rep.mean_p, _mean_n(state)]
+
+
+def _sweep_theta_vacuum(value: float, args) -> list:
+    state = sq.theta_vacuum(value, args.dim)
+    rep = quadrature_report(state)
+    resid = sq.theta_vacuum_residual(value, args.dim)
+    return [value, _mean_n(state), rep.var_x, rep.var_p, rep.product, resid]
+
+
+def _sweep_two_mode(value: float, args) -> list:
+    noise = sq.two_mode_noise_report(sq.two_mode_theta_vacuum(value, (args.dim, args.dim)))
+    return [
+        value,
+        noise["cross_x"],
+        noise["cross_p"],
+        noise["cross_product"],
+        noise["margin"],
+    ]
+
+
+def _coherent_profile(args, grid):
+    p = _require(args, ("alpha",))
+    return co.coherent_wavefunction(p["alpha"], grid(math.sqrt(2.0) * p["alpha"].real, 12.0))
+
+
+def _squeezed_profile(args, grid):
+    p = _require(args, ("s",))
+    alpha = args.alpha or 0j
+    x0 = math.sqrt(2.0) * alpha.real
+    p0 = math.sqrt(2.0) * alpha.imag
+    half = max(10.0, 8.0 * p["s"] + 2.0)
+    return sq.squeezed_wavefunction(p["s"], x0, p0, grid(x0, half))
+
+
+def _lambda_coherent_profile(args, grid):
+    p = _require(args, ("lam", "z"))
+    fam = sqm.build_family(p["lam"])
+    return sqm.lambda_coherent(p["z"], fam, _modal_levels(args.dim))
+
+
+def _lambda_squeezed_profile(args, grid):
+    p = _require(args, ("lam", "xi", "z"))
+    fam = sqm.build_family(p["lam"])
+    return sqm.lambda_squeezed(p["xi"], p["z"], fam, _modal_levels(args.dim))
+
+
+# ------------------------------------------------------- family registry
+
+
+@dataclass(frozen=True)
+class Sweep:
+    param: str
+    header: tuple[str, ...]
+    row: Callable  # (value, args) -> one row of floats
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the CLI knows about one state family.
+
+    Its callables reach package functions through their module at call
+    time (`co.coherent_ladder`), never as stored function objects, so that
+    a wrapper put on the module attribute sees every call.
+    """
+
+    params: tuple[str, ...]  # in the order of the artifact's "parameters"
+    build: Callable  # (params, dim) -> FockState or TwoModeState
+    report: Callable | None  # state -> payload entries; None: no report
+    profile: Callable | None = None  # (args, grid) -> GridWavefunction
+    sweep: Sweep | None = None
+
+
+FAMILIES = {
+    "coherent": Family(
+        ("alpha",),
+        lambda p, dim: co.coherent_ladder(co.CoherentSpec(p["alpha"], dim)),
+        _quadrature,
+        profile=_coherent_profile,
+        sweep=Sweep("t", ("t", "mean_x", "mean_p", "mean_n"), _sweep_coherent_t),
+    ),
+    "squeezed": Family(
+        ("r", "phi"),
+        lambda p, dim: sq.squeezed_vacuum(sq.SqueezeSpec(p["r"], p["phi"], dim)),
+        _quadrature,
+        profile=_squeezed_profile,
+        sweep=Sweep(
+            "r",
+            ("r", "mean_n", "var_x", "var_p", "product", "closed_form_fidelity"),
+            _sweep_squeezed_r,
+        ),
+    ),
+    "theta-vacuum": Family(
+        ("theta",),
+        lambda p, dim: sq.theta_vacuum(p["theta"], dim),
+        _quadrature,
+        sweep=Sweep(
+            "theta",
+            ("theta", "mean_n", "var_x", "var_p", "product", "annihilation_residual"),
+            _sweep_theta_vacuum,
+        ),
+    ),
+    "two-mode": Family(
+        ("theta",),
+        lambda p, dim: sq.two_mode_theta_vacuum(p["theta"], (dim, dim)),
+        _noise,
+        sweep=Sweep(
+            "theta",
+            ("theta", "cross_x", "cross_p", "cross_product", "margin"),
+            _sweep_two_mode,
+        ),
+    ),
+    "pair": Family(
+        ("zeta", "q"),
+        lambda p, dim: su11.pair_coherent(su11.PairCoherentSpec(p["zeta"], p["q"], dim)),
+        _noise,
+    ),
+    # the ladder index is a weight label, not a photon number, so no
+    # quadrature report applies
+    "perelomov": Family(
+        ("k", "xi"),
+        lambda p, dim: su11.perelomov_state(su11.SU11Rep(p["k"], dim), p["xi"]),
+        None,
+    ),
+    "parity-pair": Family(
+        ("zeta", "q"),
+        lambda p, dim: su11.parity_pair_state(p["zeta"], p["q"], dim),
+        _noise,
+    ),
+    "phase-squeezed": Family(
+        ("r", "m", "phi"),
+        lambda p, dim: ph.phase_squeeze_unitary(p["r"], p["phi"], p["m"], dim)[1],
+        _quadrature,
+    ),
+    "lambda-coherent": Family(
+        ("lam", "z"),
+        lambda p, dim: FockState(sqm.modal_coherent_coeffs(p["z"], _modal_levels(dim))),
+        _modal_quadrature,
+        profile=_lambda_coherent_profile,
+    ),
+    "lambda-squeezed": Family(
+        ("lam", "xi", "z"),
+        lambda p, dim: FockState(
+            sqm.modal_squeezed_coeffs(p["xi"], p["z"], _modal_levels(dim))
+        ),
+        _modal_quadrature,
+        profile=_lambda_squeezed_profile,
+    ),
+}
+
+
+# ----------------------------------------------------------------- state
+
+
+def _state_payload(args: argparse.Namespace) -> dict:
+    family = FAMILIES[args.family]
+    params = _require(args, family.params)
+    state = family.build(params, args.dim)
+    shape = state.amps.shape
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": "state",
+        "family": args.family,
+        "parameters": {k: _param_value(v) for k, v in params.items()},
+        "dim": shape[0] if len(shape) == 1 else list(shape),
+        "amplitudes": _amp_pairs(state.amps),
+        "photon_distribution": [float(p) for p in (np.abs(state.amps) ** 2).ravel()],
+        "quadrature_report": None,
+    }
+    if family.report is not None:
+        payload.update(family.report(state))
+    return payload
 
 
 def _state_csv(payload: dict) -> str:
@@ -400,7 +496,7 @@ def _state_csv(payload: dict) -> str:
 def run_state(args: argparse.Namespace) -> int:
     if args.family is None:
         raise UsageError("state needs --family")
-    payload = _build_state_payload(args)
+    payload = _state_payload(args)
     if args.format == "csv":
         _write_text(args.out, _state_csv(payload))
     else:
@@ -457,86 +553,21 @@ def run_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- sweep
 
 
-def _mean_n(state: FockState) -> float:
-    probs = np.abs(state.amps) ** 2
-    return float(probs @ np.arange(state.dim))
-
-
-def _sweep_squeezed_r(value: float, args) -> list:
-    spec = sq.SqueezeSpec(value, args.phi, args.dim)
-    state = sq.squeezed_vacuum(spec)
-    rep = quadrature_report(state)
-    fid = state.fidelity(sq.squeezed_vacuum_closed_form(spec))
-    return [value, _mean_n(state), rep.var_x, rep.var_p, rep.product, fid]
-
-
-def _sweep_coherent_t(value: float, args) -> list:
-    alpha = args.alpha
-    state = co.evolve_coherent(co.EvolutionSpec(alpha, value), args.dim)
-    rep = quadrature_report(state)
-    return [value, rep.mean_x, rep.mean_p, _mean_n(state)]
-
-
-def _sweep_theta_vacuum(value: float, args) -> list:
-    state = sq.theta_vacuum(value, args.dim)
-    rep = quadrature_report(state)
-    resid = sq.theta_vacuum_residual(value, args.dim)
-    return [value, _mean_n(state), rep.var_x, rep.var_p, rep.product, resid]
-
-
-def _sweep_two_mode(value: float, args) -> list:
-    noise = sq.two_mode_noise_report(sq.two_mode_theta_vacuum(value, (args.dim, args.dim)))
-    return [
-        value,
-        noise["cross_x"],
-        noise["cross_p"],
-        noise["cross_product"],
-        noise["margin"],
-    ]
-
-
-SWEEPS = {
-    ("squeezed", "r"): (
-        ("r", "mean_n", "var_x", "var_p", "product", "closed_form_fidelity"),
-        _sweep_squeezed_r,
-        (),
-    ),
-    ("coherent", "t"): (
-        ("t", "mean_x", "mean_p", "mean_n"),
-        _sweep_coherent_t,
-        ("alpha",),
-    ),
-    ("theta-vacuum", "theta"): (
-        ("theta", "mean_n", "var_x", "var_p", "product", "annihilation_residual"),
-        _sweep_theta_vacuum,
-        (),
-    ),
-    ("two-mode", "theta"): (
-        ("theta", "cross_x", "cross_p", "cross_product", "margin"),
-        _sweep_two_mode,
-        (),
-    ),
-}
-
-
 def run_sweep(args: argparse.Namespace) -> int:
     for name in ("family", "param", "start", "stop", "steps"):
         if getattr(args, name, None) is None:
             raise UsageError(f"sweep needs --{name.replace('_', '-')}")
-    key = (args.family, args.param)
-    if key not in SWEEPS:
-        supported = ", ".join(f"{f}/{p}" for f, p in sorted(SWEEPS))
+    sweep = FAMILIES[args.family].sweep
+    if sweep is None or sweep.param != args.param:
+        pairs = sorted((f, e.sweep.param) for f, e in FAMILIES.items() if e.sweep)
+        supported = ", ".join(f"{f}/{p}" for f, p in pairs)
         raise UsageError(
             f"unsupported sweep {args.family}/{args.param} (supported: {supported})"
         )
     if args.steps < 1:
         raise UsageError("sweep needs at least one step")
-    header, fn, extra = SWEEPS[key]
-    for name in extra:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"sweep over {args.family} needs --{name}")
     values = np.linspace(args.start, args.stop, args.steps)
-    rows = [fn(float(v), args) for v in values]
+    rows = [sweep.row(float(v), args) for v in values]
     if args.format == "json":
         text = _emit_json(
             {
@@ -544,12 +575,12 @@ def run_sweep(args: argparse.Namespace) -> int:
                 "command": "sweep",
                 "family": args.family,
                 "param": args.param,
-                "columns": list(header),
+                "columns": list(sweep.header),
                 "rows": [[float(c) for c in row] for row in rows],
             }
         )
     else:
-        text = _emit_csv(header, rows)
+        text = _emit_csv(sweep.header, rows)
     _write_text(args.out, text)
     return 0
 
@@ -557,12 +588,9 @@ def run_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------- wavefunction
 
 
-def _default_grid(center: float, half_width: float, points: int) -> np.ndarray:
-    return np.linspace(center - half_width, center + half_width, points)
-
-
-def _build_wavefunction(args: argparse.Namespace):
-    family = args.family
+def run_wavefunction(args: argparse.Namespace) -> int:
+    if args.family is None:
+        raise UsageError("wavefunction needs --family")
     points = args.points or 2001
     if points < 2:
         raise UsageError("wavefunction needs at least two points")
@@ -574,32 +602,10 @@ def _build_wavefunction(args: argparse.Namespace):
             raise UsageError("x-max must exceed x-min")
         return np.linspace(lo, hi, points)
 
-    if family == "coherent":
-        p = _require(args, ("alpha",))
-        center = math.sqrt(2.0) * p["alpha"].real if isinstance(p["alpha"], complex) else math.sqrt(2.0) * p["alpha"]
-        return co.coherent_wavefunction(p["alpha"], grid(center, 12.0))
-    if family == "squeezed":
-        p = _require(args, ("s",))
-        alpha = args.alpha or 0.0
-        x0 = math.sqrt(2.0) * complex(alpha).real
-        p0 = math.sqrt(2.0) * complex(alpha).imag
-        half = max(10.0, 8.0 * p["s"] + 2.0)
-        return sq.squeezed_wavefunction(p["s"], x0, p0, grid(x0, half))
-    if family == "lambda-coherent":
-        p = _require(args, ("lam", "z"))
-        fam = sqm.build_family(p["lam"])
-        return sqm.lambda_coherent(p["z"], fam, _modal_levels(args.dim))
-    if family == "lambda-squeezed":
-        p = _require(args, ("lam", "xi", "z"))
-        fam = sqm.build_family(p["lam"])
-        return sqm.lambda_squeezed(p["xi"], p["z"], fam, _modal_levels(args.dim))
-    raise UsageError(f"no coordinate profile for family {family!r}")
-
-
-def run_wavefunction(args: argparse.Namespace) -> int:
-    if args.family is None:
-        raise UsageError("wavefunction needs --family")
-    wf = _build_wavefunction(args)
+    profile = FAMILIES[args.family].profile
+    if profile is None:
+        raise UsageError(f"no coordinate profile for family {args.family!r}")
+    wf = profile(args, grid)
     xs = wf.xs
     if args.format == "json":
         text = _emit_json(
@@ -626,13 +632,13 @@ def run_wavefunction(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, options = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config(args)
+        _apply_config(args, options[args.command])
         _apply_defaults(args)
         handler = {
             "state": run_state,

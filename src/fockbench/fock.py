@@ -12,12 +12,10 @@ therefore always go through an interior projector; see `max_abs_interior`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from .config import DEFAULT_TOL
 
 __all__ = [
     "FockState",
@@ -34,6 +32,9 @@ __all__ = [
     "suggested_dim",
     "max_abs_interior",
 ]
+
+# norm^2 slack allowed for a constructed state (mass lost to the truncation tail)
+STATE_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class FockState:
             raise ValueError("cannot normalize the zero vector")
         return FockState(self.amps / n)
 
-    def check_normalized(self, tail_tol: float = DEFAULT_TOL.state) -> None:
+    def check_normalized(self, tail_tol: float = STATE_TAIL_TOL) -> None:
         n2 = self.norm ** 2
         if not (1.0 - tail_tol <= n2 <= 1.0 + 1e-12):
             raise ValueError(f"state norm^2 = {n2!r} outside the allowed band")
@@ -122,7 +123,6 @@ class GridWavefunction:
     x_min: float
     dx: float
     values: np.ndarray
-    normalized_flag: bool = field(default=True)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
@@ -200,7 +200,7 @@ def expectation(M: np.ndarray, state: FockState | np.ndarray) -> complex:
     return complex(np.vdot(vec, M @ vec))
 
 
-def quadrature_report(state: FockState, tail_tol: float = DEFAULT_TOL.state) -> QuadratureReport:
+def quadrature_report(state: FockState, tail_tol: float = STATE_TAIL_TOL) -> QuadratureReport:
     """Means, variances and the uncertainty product of x and p."""
     state.check_normalized(tail_tol)
     x, p = build_quadratures(state.dim)

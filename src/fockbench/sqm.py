@@ -21,17 +21,14 @@ from .fock import GridWavefunction, build_ladder, matrix_exponential
 
 __all__ = [
     "IsospectralFamily",
-    "ModalOperatorSet",
     "build_family",
     "hermite_levels",
     "chi_states",
     "deformed_potential",
     "spectral_check",
-    "modal_operator_set",
     "modal_coherent_coeffs",
     "modal_squeezed_coeffs",
     "modal_eigen_residual",
-    "modal_quadrature_report",
     "lambda_coherent",
     "lambda_squeezed",
 ]
@@ -55,12 +52,6 @@ class IsospectralFamily:
     @property
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
-
-
-@dataclass(frozen=True)
-class ModalOperatorSet:
-    n_levels: int
-    a_modal: np.ndarray
 
 
 def build_family(lam: float, xs: np.ndarray | None = None) -> IsospectralFamily:
@@ -157,11 +148,6 @@ def spectral_check(family: IsospectralFamily, n_levels: int) -> tuple[list[float
 # ------------------------------------------------------------- modal states
 
 
-def modal_operator_set(n_levels: int) -> ModalOperatorSet:
-    a, _ = build_ladder(n_levels)
-    return ModalOperatorSet(n_levels, a)
-
-
 def modal_coherent_coeffs(z: complex, n_levels: int) -> np.ndarray:
     if abs(z) ** 2 + 6.0 * abs(z) > n_levels:
         raise ValueError("modal tail does not fit in the level budget")
@@ -185,26 +171,6 @@ def modal_squeezed_coeffs(xi: complex, z: complex, n_levels: int) -> np.ndarray:
 def modal_eigen_residual(coeffs: np.ndarray, z: complex) -> float:
     a, _ = build_ladder(coeffs.size)
     return float(np.linalg.norm(a @ coeffs - z * coeffs))
-
-
-def modal_quadrature_report(coeffs: np.ndarray) -> dict:
-    a, adag = build_ladder(coeffs.size)
-    x = (a + adag) / np.sqrt(2.0)
-    p = -1j * (a - adag) / np.sqrt(2.0)
-
-    def ev(op) -> float:
-        return float(np.vdot(coeffs, op @ coeffs).real)
-
-    mx, mp = ev(x), ev(p)
-    var_x = ev(x @ x) - mx * mx
-    var_p = ev(p @ p) - mp * mp
-    return {
-        "mean_x": mx,
-        "mean_p": mp,
-        "var_x": var_x,
-        "var_p": var_p,
-        "product": var_x * var_p,
-    }
 
 
 def _assemble(family: IsospectralFamily, coeffs: np.ndarray, n_levels: int) -> GridWavefunction:

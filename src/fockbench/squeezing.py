@@ -538,8 +538,8 @@ def generalized_condition_solution(
         mu=mu,
         nu=nu,
         c=c,
-        phi_part=GridWavefunction(float(x1[0]), float(h1), phi, normalized_flag=False),
-        chi_part=GridWavefunction(float(x2[0]), float(h2), chi, normalized_flag=False),
+        phi_part=GridWavefunction(float(x1[0]), float(h1), phi),
+        chi_part=GridWavefunction(float(x2[0]), float(h2), chi),
         phi_normalizable=bool(phi_norm),
         chi_normalizable=bool(chi_norm),
         pde_residual=residual,

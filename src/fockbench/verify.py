@@ -424,7 +424,7 @@ def suite_sqm(cfg) -> list[Check]:
     checks.append(
         Check(
             "modal uncertainty product",
-            abs(sqm.modal_quadrature_report(coeffs)["product"] - 0.25),
+            abs(quadrature_report(FockState(coeffs)).product - 0.25),
             1e-5,
         )
     )

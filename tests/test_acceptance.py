@@ -23,6 +23,7 @@ from fockbench.coherent import (
     evolve_coherent,
 )
 from fockbench.fock import (
+    FockState,
     build_ladder,
     fock_basis_state,
     matrix_exponential,
@@ -59,7 +60,6 @@ from fockbench.sqm import (
     hermite_levels,
     modal_coherent_coeffs,
     modal_eigen_residual,
-    modal_quadrature_report,
     spectral_check,
 )
 from fockbench.su11 import (
@@ -404,7 +404,7 @@ def test_criterion_13_isospectral_family():
         worst_ortho = max(worst_ortho, float(np.abs(gram - np.eye(12)).max()))
     coeffs = modal_coherent_coeffs(0.5, 12)
     eig = modal_eigen_residual(coeffs, 0.5)
-    prod_err = abs(modal_quadrature_report(coeffs)["product"] - 0.25)
+    prod_err = abs(quadrature_report(FockState(coeffs)).product - 0.25)
     fam_inf = build_family(1e6)
     chis_inf = chi_states(fam_inf, 6)
     psis = hermite_levels(fam_inf.xs, 6)

@@ -221,3 +221,69 @@ def test_wavefunction_modal_family(capsys):
                    "--lam", "1", "--z", "0.5") == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 2002  # header plus the family grid
+
+
+# every family with parameter values inside its working range, and the
+# keys its artifact's "parameters" must carry, in order
+FAMILY_CASES = {
+    "coherent": (["--alpha", "1+0.5j"], ["alpha"]),
+    "squeezed": (["--r", "0.6", "--phi", "0.3"], ["r", "phi"]),
+    "theta-vacuum": (["--theta", "0.4"], ["theta"]),
+    "two-mode": (["--theta", "0.5"], ["theta"]),
+    "pair": (["--zeta", "0.8+0.2j", "--q", "1"], ["zeta", "q"]),
+    "perelomov": (["--k", "0.75", "--xi", "0.3+0.1j"], ["k", "xi"]),
+    "parity-pair": (["--zeta", "0.7", "--q", "0"], ["zeta", "q"]),
+    "phase-squeezed": (["--r", "0.5", "--m", "2", "--phi", "0.2"], ["r", "m", "phi"]),
+    "lambda-coherent": (["--lam", "1", "--z", "0.5"], ["lam", "z"]),
+    "lambda-squeezed": (["--lam", "2", "--xi", "0.25", "--z", "0.3+0.1j"], ["lam", "xi", "z"]),
+}
+TWO_MODE_FAMILIES = {"two-mode", "pair", "parity-pair"}
+PROFILE_FAMILIES = {"coherent", "squeezed", "lambda-coherent", "lambda-squeezed"}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_CASES))
+def test_every_family_through_the_cli(family, capsys):
+    args, keys = FAMILY_CASES[family]
+    argv = ["state", "--family", family, "--dim", "16"] + args
+    assert run_cli(*argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["parameters"]) == keys
+    assert abs(sum(payload["photon_distribution"]) - 1.0) <= 1e-12
+    assert (payload["quadrature_report"] is None) == (family == "perelomov")
+
+    assert run_cli(*argv, "--format", "csv") == 0
+    header = capsys.readouterr().out.split("\n", 1)[0]
+    assert header == ("n1,n2,probability" if family in TWO_MODE_FAMILIES else "n,probability")
+
+    if family not in PROFILE_FAMILIES:
+        assert run_cli("wavefunction", "--family", family, *args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# a config value must act exactly like the same value given as a flag
+@pytest.mark.parametrize(
+    "text, argv, flags",
+    [
+        ("dim=abc\n", ["--family", "coherent", "--alpha", "1"], ["--dim", "abc"]),
+        ("alpha=1\ndim=2.5\n", ["--family", "coherent"], ["--alpha", "1", "--dim", "2.5"]),
+        ("q=1.5\n", ["--family", "pair", "--zeta", "0.5"], ["--q", "1.5"]),
+        ("r=1+1j\n", ["--family", "squeezed"], ["--r", "1+1j"]),
+        ("format=xml\n", ["--family", "coherent", "--alpha", "1", "--dim", "8"],
+         ["--format", "xml"]),
+        ("alpha=2\n", ["--family", "coherent", "--dim", "16"], ["--alpha", "2"]),
+    ],
+    ids=["dim-word", "dim-fraction", "q-fraction", "r-complex", "format-choice", "alpha-int"],
+)
+def test_config_values_take_the_type_of_their_flag(tmp_path, capsys, text, argv, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = run_cli("state", *argv, "--config", str(cfg))
+    out, err = capsys.readouterr()
+    expected = run_cli("state", *argv, *flags)
+    assert (code, out) == (expected, capsys.readouterr().out)
+    if code == 2:
+        key = text.splitlines()[-1].split("=")[0]
+        line = len(text.splitlines())
+        assert err.startswith(f"error: {cfg}:{line}: ")
+        assert repr(key) in err
+        assert len(err.strip().splitlines()) == 1

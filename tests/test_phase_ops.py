@@ -108,3 +108,25 @@ def test_ladder_unitary_matches_geometric_profile(m):
     amps[m * ns] = (beta * np.exp(1j * phi)) ** ns
     oracle = FockState(amps).normalized()
     assert closed.fidelity(oracle) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 16, 64])
+def test_number_shift_factorizations_agree(dim):
+    ops = build_phase_set(dim)
+    n_op = number_operator(dim)
+    one = np.eye(dim)
+    r_plus, r_minus = build_R_ops(dim)
+    assert np.array_equal(r_plus, n_op @ ops.gamma_plus)
+    assert np.array_equal(r_plus, ops.gamma_plus @ (n_op + one))
+    assert np.array_equal(r_minus, ops.gamma_minus @ n_op)
+    assert np.array_equal(r_minus, (n_op + one) @ ops.gamma_minus)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64 // 4])
+def test_m_step_factorizations_agree(m):
+    dim = 64
+    gm_pow = np.linalg.matrix_power(build_phase_set(dim).gamma_minus, m)
+    n_op = number_operator(dim)
+    ladder = build_omega_ops(m, dim)
+    assert np.array_equal(ladder.omega_minus, gm_pow @ n_op)
+    assert np.array_equal(ladder.omega_minus, (n_op + m * np.eye(dim)) @ gm_pow)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fockbench.fock import FockState, quadrature_report
 from fockbench.sqm import (
     MAX_LEVELS,
     build_family,
@@ -13,7 +14,6 @@ from fockbench.sqm import (
     lambda_squeezed,
     modal_coherent_coeffs,
     modal_eigen_residual,
-    modal_quadrature_report,
     modal_squeezed_coeffs,
     spectral_check,
 )
@@ -78,16 +78,16 @@ def test_modal_coherent_state():
     coeffs = modal_coherent_coeffs(0.5, MAX_LEVELS)
     assert abs(np.linalg.norm(coeffs) - 1.0) <= 1e-12
     assert modal_eigen_residual(coeffs, 0.5) <= 1e-6
-    rep = modal_quadrature_report(coeffs)
-    assert abs(rep["product"] - 0.25) <= 1e-5
+    rep = quadrature_report(FockState(coeffs))
+    assert abs(rep.product - 0.25) <= 1e-5
     with pytest.raises(ValueError):
         modal_coherent_coeffs(2.5, MAX_LEVELS)
 
 
 def test_modal_squeezed_state():
     coeffs = modal_squeezed_coeffs(0.25, 0.3, MAX_LEVELS)
-    rep = modal_quadrature_report(coeffs)
-    assert abs(rep["product"] - 0.25) <= 1e-5
+    rep = quadrature_report(FockState(coeffs))
+    assert abs(rep.product - 0.25) <= 1e-5
     with pytest.raises(ValueError):
         modal_squeezed_coeffs(0.8, 0.0, MAX_LEVELS)
 
