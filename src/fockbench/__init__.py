@@ -12,7 +12,6 @@ from .fock import (
     TwoModeState,
     build_ladder,
     build_quadratures,
-    expectation,
     fock_basis_state,
     matrix_exponential,
     number_operator,

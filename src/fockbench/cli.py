@@ -98,15 +98,17 @@ def _write_text(path, text) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fockbench-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fockbench-")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _amp_pairs(amps: np.ndarray):
@@ -287,13 +289,7 @@ def _modal_quadrature(state: FockState) -> dict:
 
 
 def _noise(state) -> dict:
-    noise = sq.two_mode_noise_report(state)
-    return {"quadrature_report": {k: float(v) for k, v in noise.items()}}
-
-
-def _mean_n(state: FockState) -> float:
-    probs = np.abs(state.amps) ** 2
-    return float(probs @ np.arange(state.dim))
+    return {"quadrature_report": sq.two_mode_noise_report(state)}
 
 
 def _sweep_squeezed_r(value: float, args) -> list:
@@ -301,7 +297,7 @@ def _sweep_squeezed_r(value: float, args) -> list:
     state = sq.squeezed_vacuum(spec)
     rep = quadrature_report(state)
     fid = state.fidelity(sq.squeezed_vacuum_closed_form(spec))
-    return [value, _mean_n(state), rep.var_x, rep.var_p, rep.product, fid]
+    return [value, rep.mean_n, rep.var_x, rep.var_p, rep.product, fid]
 
 
 def _sweep_coherent_t(value: float, args) -> list:
@@ -309,14 +305,14 @@ def _sweep_coherent_t(value: float, args) -> list:
         raise UsageError("sweep over coherent needs --alpha")
     state = co.evolve_coherent(co.EvolutionSpec(args.alpha, value), args.dim)
     rep = quadrature_report(state)
-    return [value, rep.mean_x, rep.mean_p, _mean_n(state)]
+    return [value, rep.mean_x, rep.mean_p, rep.mean_n]
 
 
 def _sweep_theta_vacuum(value: float, args) -> list:
     state = sq.theta_vacuum(value, args.dim)
     rep = quadrature_report(state)
     resid = sq.theta_vacuum_residual(value, args.dim)
-    return [value, _mean_n(state), rep.var_x, rep.var_p, rep.product, resid]
+    return [value, rep.mean_n, rep.var_x, rep.var_p, rep.product, resid]
 
 
 def _sweep_two_mode(value: float, args) -> list:
@@ -344,15 +340,25 @@ def _squeezed_profile(args, grid):
     return sq.squeezed_wavefunction(p["s"], x0, p0, grid(x0, half))
 
 
+def _lambda_coherent_state(p, dim):
+    sqm.check_deformation(p["lam"])
+    return FockState(sqm.modal_coherent_coeffs(p["z"], _modal_levels(dim)))
+
+
+def _lambda_squeezed_state(p, dim):
+    sqm.check_deformation(p["lam"])
+    return FockState(sqm.modal_squeezed_coeffs(p["xi"], p["z"], _modal_levels(dim)))
+
+
 def _lambda_coherent_profile(args, grid):
     p = _require(args, ("lam", "z"))
-    fam = sqm.build_family(p["lam"])
+    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX))
     return sqm.lambda_coherent(p["z"], fam, _modal_levels(args.dim))
 
 
 def _lambda_squeezed_profile(args, grid):
     p = _require(args, ("lam", "xi", "z"))
-    fam = sqm.build_family(p["lam"])
+    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX))
     return sqm.lambda_squeezed(p["xi"], p["z"], fam, _modal_levels(args.dim))
 
 
@@ -445,15 +451,13 @@ FAMILIES = {
     ),
     "lambda-coherent": Family(
         ("lam", "z"),
-        lambda p, dim: FockState(sqm.modal_coherent_coeffs(p["z"], _modal_levels(dim))),
+        _lambda_coherent_state,
         _modal_quadrature,
         profile=_lambda_coherent_profile,
     ),
     "lambda-squeezed": Family(
         ("lam", "xi", "z"),
-        lambda p, dim: FockState(
-            sqm.modal_squeezed_coeffs(p["xi"], p["z"], _modal_levels(dim))
-        ),
+        _lambda_squeezed_state,
         _modal_quadrature,
         profile=_lambda_squeezed_profile,
     ),

@@ -26,7 +26,8 @@ __all__ = [
     "build_quadratures",
     "number_operator",
     "matrix_exponential",
-    "expectation",
+    "ladder_moments",
+    "quadrature_moments",
     "quadrature_report",
     "fock_basis_state",
     "suggested_dim",
@@ -155,6 +156,8 @@ class QuadratureReport:
     var_x: float
     var_p: float
     product: float
+    mean_n: float
+    var_n: float
     tail_warning: bool = False
 
 
@@ -193,23 +196,47 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(M)
 
 
-def expectation(M: np.ndarray, state: FockState | np.ndarray) -> complex:
-    vec = state.amps if isinstance(state, FockState) else np.asarray(state)
-    if M.shape != (vec.size, vec.size):
-        raise ValueError("operator and state dimensions differ")
-    return complex(np.vdot(vec, M @ vec))
+def ladder_moments(
+    amps: np.ndarray, weights: np.ndarray, axis: int = 0
+) -> tuple[complex, complex, float, float]:
+    """<L>, <L^2>, <L+L> and <LL+> for L|n> = weights[n]|n-1> along `axis`.
+
+    These are the truncated-matrix moments: the top level has no L+ image.
+    Each is a sum over shifted slices, O(amps.size).
+    """
+    psi = np.asarray(amps).swapaxes(0, axis)
+    w = np.asarray(weights, dtype=float)[1:].reshape((-1,) + (1,) * (psi.ndim - 1))
+    low = w * psi[1:]  # L psi on levels 0 .. dim-2
+    up = w * psi[:-1]  # L+ psi on levels 1 .. dim-1
+    first = complex(np.vdot(psi[:-1], low))
+    second = complex(np.vdot(psi[:-2], w[:-1] * low[1:]))
+    return first, second, float(np.vdot(low, low).real), float(np.vdot(up, up).real)
+
+
+def quadrature_moments(moments: tuple) -> tuple[float, float, float, float]:
+    """Means and variances of x = (L + L+)/sqrt2 and p = -i(L - L+)/sqrt2.
+
+    <x^2> and <p^2> are sums halved, so vacuum variances are exactly 1/2.
+    """
+    first, second, up_down, down_up = moments
+    mean_x = math.sqrt(2.0) * first.real
+    mean_p = math.sqrt(2.0) * first.imag
+    var_x = (up_down + down_up + 2.0 * second.real) / 2.0 - mean_x * mean_x
+    var_p = (up_down + down_up - 2.0 * second.real) / 2.0 - mean_p * mean_p
+    return mean_x, mean_p, var_x, var_p
 
 
 def quadrature_report(state: FockState, tail_tol: float = STATE_TAIL_TOL) -> QuadratureReport:
-    """Means, variances and the uncertainty product of x and p."""
+    """Means, variances and the uncertainty product of x and p, and the
+    mean and variance of N = a+a; <N^2> is <L+L> for L|n> = n|n-1>."""
     state.check_normalized(tail_tol)
-    x, p = build_quadratures(state.dim)
-    mx = expectation(x, state).real
-    mp = expectation(p, state).real
-    vx = expectation(x @ x, state).real - mx * mx
-    vp = expectation(p @ p, state).real - mp * mp
+    ns = np.arange(state.dim, dtype=float)
+    moments = ladder_moments(state.amps, np.sqrt(ns))
+    mx, mp, vx, vp = quadrature_moments(moments)
+    mean_n = moments[2]
+    var_n = ladder_moments(state.amps, ns)[2] - mean_n * mean_n
     warn = state.tail_mass(0.1) > 1e-8
-    return QuadratureReport(mx, mp, vx, vp, vx * vp, tail_warning=warn)
+    return QuadratureReport(mx, mp, vx, vp, vx * vp, mean_n, var_n, tail_warning=warn)
 
 
 def fock_basis_state(dim: int, n: int) -> FockState:

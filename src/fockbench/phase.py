@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, expectation, matrix_exponential, number_operator
+from .fock import (
+    FockState,
+    ladder_moments,
+    matrix_exponential,
+    number_operator,
+    quadrature_moments,
+    quadrature_report,
+)
 
 __all__ = [
     "PhaseOperatorSet",
@@ -66,21 +73,15 @@ def build_phase_set(dim: int) -> PhaseOperatorSet:
 def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
     """Number-phase uncertainty products and their lower bounds.
 
-    Returns (dcos * dN, |<sin>|/2, dsin * dN, |<cos>|/2).
+    Returns (dcos * dN, |<sin>|/2, dsin * dN, |<cos>|/2).  cos phi and
+    sin phi are the quadratures x and -p of L = G- scaled by 1/sqrt2.
     """
-    ops = build_phase_set(s.dim)
-    n_op = number_operator(s.dim)
-
-    def _spread(op: np.ndarray) -> float:
-        mean = expectation(op, s).real
-        return float(np.sqrt(max(expectation(op @ op, s).real - mean * mean, 0.0)))
-
-    d_n = _spread(n_op)
-    d_cos = _spread(ops.cos_phi)
-    d_sin = _spread(ops.sin_phi)
-    bound_sin = abs(expectation(ops.sin_phi, s).real) / 2.0
-    bound_cos = abs(expectation(ops.cos_phi, s).real) / 2.0
-    return d_cos * d_n, bound_sin, d_sin * d_n, bound_cos
+    mx, mp, vx, vp = quadrature_moments(ladder_moments(s.amps, np.arange(s.dim) > 0))
+    mean_cos, mean_sin = mx / np.sqrt(2.0), -mp / np.sqrt(2.0)
+    d_n = float(np.sqrt(max(quadrature_report(s).var_n, 0.0)))
+    d_cos = float(np.sqrt(max(vx / 2.0, 0.0)))
+    d_sin = float(np.sqrt(max(vp / 2.0, 0.0)))
+    return d_cos * d_n, abs(mean_sin) / 2.0, d_sin * d_n, abs(mean_cos) / 2.0
 
 
 def build_R_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from .fock import GridWavefunction, build_ladder, matrix_exponential
 
 __all__ = [
     "IsospectralFamily",
+    "check_deformation",
     "build_family",
     "hermite_levels",
     "chi_states",
@@ -54,10 +55,15 @@ class IsospectralFamily:
         return float(self.xs[1] - self.xs[0])
 
 
-def build_family(lam: float, xs: np.ndarray | None = None) -> IsospectralFamily:
-    """Deformation phi = psi0^2 / (lam + int psi0^2) on the grid."""
+def check_deformation(lam: float) -> None:
+    """Reject lam in [-1, 0], where lam + int psi0^2 vanishes on the axis."""
     if -1.0 <= lam <= 0.0:
         raise ValueError("deformation parameter inside [-1, 0] puts a pole on the axis")
+
+
+def build_family(lam: float, xs: np.ndarray | None = None) -> IsospectralFamily:
+    """Deformation phi = psi0^2 / (lam + int psi0^2) on the grid."""
+    check_deformation(lam)
     if xs is None:
         xs = np.linspace(GRID_MIN, GRID_MAX, GRID_POINTS)
     xs = np.asarray(xs, dtype=float)

@@ -26,7 +26,9 @@ from .fock import (
     GridWavefunction,
     TwoModeState,
     build_ladder,
+    ladder_moments,
     matrix_exponential,
+    quadrature_moments,
     suggested_dim,
 )
 from .phase import build_R_ops
@@ -373,39 +375,23 @@ def two_mode_theta_vacuum(Theta: float, dims: tuple[int, int]) -> TwoModeState:
     return TwoModeState(amps).normalized()
 
 
-def _sparse_quadratures(da: int, db: int):
-    a1, a2 = ladders_sparse(da, db)
-    x1 = (a1 + a1.conj().T) / np.sqrt(2.0)
-    p1 = -1j * (a1 - a1.conj().T) / np.sqrt(2.0)
-    x2 = (a2 + a2.conj().T) / np.sqrt(2.0)
-    p2 = -1j * (a2 - a2.conj().T) / np.sqrt(2.0)
-    return x1.tocsr(), p1.tocsr(), x2.tocsr(), p2.tocsr()
-
-
 def two_mode_noise_report(state: TwoModeState) -> dict:
     """Per-mode variances, quadrature cross correlations and the margin
     of the correlated uncertainty inequality.
 
     margin = var_x1 * var_p1 - 1/4 - <dx1 dx2><dp1 dp2>, nonnegative for
-    the pair-correlated vacuum.
+    the pair-correlated vacuum.  The cross terms follow from <a1 a2> and
+    <a1+ a2>: <x1 x2> = Re<a1 a2> + Re<a1+ a2>, <p1 p2> = Re<a1+ a2> - Re<a1 a2>.
     """
-    da, db = state.dims
-    x1, p1, x2, p2 = _sparse_quadratures(da, db)
-    vec = state.ravel()
-
-    def ev(op) -> float:
-        return float(np.vdot(vec, op @ vec).real)
-
-    def ev2(opa, opb) -> float:
-        return float(np.vdot(opa @ vec, opb @ vec).real)
-
-    mx1, mp1, mx2, mp2 = ev(x1), ev(p1), ev(x2), ev(p2)
-    var_x1 = ev2(x1, x1) - mx1 * mx1
-    var_p1 = ev2(p1, p1) - mp1 * mp1
-    var_x2 = ev2(x2, x2) - mx2 * mx2
-    var_p2 = ev2(p2, p2) - mp2 * mp2
-    cross_x = ev2(x1, x2) - mx1 * mx2
-    cross_p = ev2(p1, p2) - mp1 * mp2
+    psi = state.amps
+    root1, root2 = (np.sqrt(np.arange(d)) for d in state.dims)
+    mx1, mp1, var_x1, var_p1 = quadrature_moments(ladder_moments(psi, root1, axis=0))
+    mx2, mp2, var_x2, var_p2 = quadrature_moments(ladder_moments(psi, root2, axis=1))
+    low1 = root1[1:, None] * psi[1:]  # a1 psi
+    pair = np.vdot(psi[:-1, :-1], root2[1:] * low1[:, 1:]).real  # Re<a1 a2>
+    hop = np.vdot(low1[:, :-1], root2[1:] * psi[:-1, 1:]).real  # Re<a1+ a2>
+    cross_x = float(pair + hop) - mx1 * mx2
+    cross_p = float(hop - pair) - mp1 * mp2
     cross_product = cross_x * cross_p
     margin = var_x1 * var_p1 - 0.25 - cross_product
     return {

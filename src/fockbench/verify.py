@@ -135,14 +135,10 @@ def suite_coherent(cfg) -> list[Check]:
     for al in alphas:
         st = co.coherent_ladder(co.CoherentSpec(al, dim))
         worst_eig = max(worst_eig, float(np.linalg.norm(a @ st.amps - al * st.amps)))
-        probs = np.abs(st.amps) ** 2
-        ns = np.arange(dim)
-        mean = float(probs @ ns)
-        var = float(probs @ ns ** 2 - mean ** 2)
-        worst_mean = max(worst_mean, abs(mean - abs(al) ** 2))
-        worst_var = max(worst_var, abs(var - abs(al) ** 2))
-        if al != 0:
-            worst_prod = max(worst_prod, abs(quadrature_report(st).product - 0.25))
+        rep = quadrature_report(st)
+        worst_mean = max(worst_mean, abs(rep.mean_n - abs(al) ** 2))
+        worst_var = max(worst_var, abs(rep.var_n - abs(al) ** 2))
+        worst_prod = max(worst_prod, abs(rep.product - 0.25))
     checks.append(Check("annihilation eigen-residual", worst_eig, 1e-8))
     checks.append(Check("Poisson mean = |alpha|^2", worst_mean, 1e-8))
     checks.append(Check("Poisson variance = |alpha|^2", worst_var, 1e-8))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fockbench.cli import main
+from fockbench.sqm import build_family
 
 
 def run_cli(*argv):
@@ -100,6 +101,13 @@ def test_verify_pinned_pole_lambda_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_verify_two_squeeze_at_zero_theta(capsys):
+    # the uncorrelated point sits on the margin's bound 0.0 exactly
+    assert run_cli("verify", "--suite", "two-squeeze", "--theta", "0") == 0
+    checks = {c["name"]: c["measured"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["correlated uncertainty margin"] == 0.0
+
+
 def test_verify_artifact_deterministic(tmp_path):
     paths = [tmp_path / "v1.json", tmp_path / "v2.json"]
     for path in paths:
@@ -124,6 +132,31 @@ def test_precondition_violation_exits_two(capsys):
     assert run_cli("state", "--family", "lambda-coherent", "--lam", "1",
                    "--z", "3") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("lambda-coherent", ["--z", "0.2"]), ("lambda-squeezed", ["--xi", "0.3", "--z", "0.2"])],
+)
+def test_lambda_state_rejects_a_pole(family, params, capsys):
+    assert run_cli("state", "--family", family, "--lam", "-0.5", *params) == 2
+    out, err = capsys.readouterr()
+    with pytest.raises(ValueError) as exc:
+        build_family(-0.5)
+    assert (out, err) == ("", f"error: {exc.value}\n")
+
+
+def test_bad_out_path_exits_two(tmp_path, capsys):
+    target_dir = tmp_path / "taken"
+    target_dir.mkdir()
+    for out in (tmp_path / "missing" / "x.json", target_dir):
+        assert run_cli("state", "--family", "coherent", "--alpha", "1",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target_dir.iterdir()) == []
 
 
 def test_config_file_precedence(tmp_path, capsys, monkeypatch):
@@ -221,6 +254,16 @@ def test_wavefunction_modal_family(capsys):
                    "--lam", "1", "--z", "0.5") == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 2002  # header plus the family grid
+
+
+def test_lambda_profile_honours_the_grid(capsys):
+    argv = ["wavefunction", "--family", "lambda-coherent", "--lam", "1", "--z", "0.5"]
+    assert run_cli(*argv, "--points", "4001") == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4002
+    # the family needs a grid over [-10, 10] with at least 2001 points
+    assert run_cli(*argv, "--points", "11", "--x-min", "-1", "--x-max", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 # every family with parameter values inside its working range, and the

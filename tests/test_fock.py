@@ -14,6 +14,7 @@ from fockbench.fock import (
     quadrature_report,
     suggested_dim,
 )
+from fockbench.squeezing import SqueezeSpec, squeezed_vacuum_closed_form
 
 
 def taylor_expm(M: np.ndarray) -> np.ndarray:
@@ -86,6 +87,52 @@ def test_uncertainty_floor_random_states():
         rep = quadrature_report(FockState(amps))
         worst = min(worst, rep.product)
     assert worst >= 0.25 - 1e-9
+
+
+def _dense_report(amps: np.ndarray) -> dict:
+    """Reference moments from dense x, p, x @ x and p @ p and from the
+    photon distribution."""
+    x, p = build_quadratures(amps.size)
+
+    def ev(op) -> float:
+        return float(np.vdot(amps, op @ amps).real)
+
+    mx, mp = ev(x), ev(p)
+    probs = np.abs(amps) ** 2
+    ns = np.arange(amps.size)
+    mean_n = float(probs @ ns)
+    return {
+        "mean_x": mx,
+        "mean_p": mp,
+        "var_x": ev(x @ x) - mx * mx,
+        "var_p": ev(p @ p) - mp * mp,
+        "mean_n": mean_n,
+        "var_n": float(probs @ ns ** 2) - mean_n * mean_n,
+    }
+
+
+def _assert_matches_dense(state: FockState) -> None:
+    rep = quadrature_report(state)
+    ref = _dense_report(state.amps)
+    ref["product"] = ref["var_x"] * ref["var_p"]
+    for key, value in ref.items():
+        assert abs(getattr(rep, key) - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 64, 512])
+def test_quadrature_report_matches_dense_reference(dim):
+    # full support, so the top level, where the truncated x @ x is
+    # clipped, carries weight
+    rng = np.random.default_rng(dim)
+    for _ in range(4):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        _assert_matches_dense(FockState(raw / np.linalg.norm(raw)))
+
+
+# odd dims put the top level on an even, occupied level
+@pytest.mark.parametrize("r, dim", [(0.5, 9), (1.5, 33), (3.0, 129), (3.0, 513)])
+def test_squeezed_quadrature_report_matches_dense_reference(r, dim):
+    _assert_matches_dense(squeezed_vacuum_closed_form(SqueezeSpec(r, 0.7, dim)))
 
 
 def test_matrix_exponential_against_taylor_reference():

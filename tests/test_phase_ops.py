@@ -86,6 +86,50 @@ def test_uncertainty_inequalities_hold():
         assert dsin_dn >= cos_bound - 1e-12
 
 
+def _dense_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
+    """Reference spreads from dense phase and number operators."""
+    ops = build_phase_set(s.dim)
+
+    def ev(op) -> float:
+        return float(np.vdot(s.amps, op @ s.amps).real)
+
+    def spread(op) -> float:
+        return float(np.sqrt(max(ev(op @ op) - ev(op) ** 2, 0.0)))
+
+    d_n = spread(number_operator(s.dim))
+    return (
+        spread(ops.cos_phi) * d_n,
+        abs(ev(ops.sin_phi)) / 2.0,
+        spread(ops.sin_phi) * d_n,
+        abs(ev(ops.cos_phi)) / 2.0,
+    )
+
+
+def _random_state(dim: int, seed: int) -> FockState:
+    rng = np.random.default_rng(seed)
+    return FockState(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).normalized()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        _random_state(3, 1),
+        _random_state(8, 2),
+        _random_state(64, 3),
+        _random_state(300, 4),
+        coherent_ladder(CoherentSpec(3.0, 16)),
+        coherent_ladder(CoherentSpec(1.2 - 0.8j, 8)),
+        phase_squeeze_closed_form(0.5, 0.3, 1, 9),
+    ],
+    ids=["random-3", "random-8", "random-64", "random-300", "coherent-3", "coherent-complex",
+         "phase-squeezed"],
+)
+def test_number_phase_uncertainty_matches_dense_reference(state):
+    got = number_phase_uncertainty(state)
+    for value, ref in zip(got, _dense_phase_uncertainty(state)):
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 def test_number_state_phase_is_flat():
     dcos_dn, sin_bound, dsin_dn, cos_bound = number_phase_uncertainty(
         fock_basis_state(64, 5)

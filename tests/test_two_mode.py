@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fockbench.fock import matrix_exponential
+from fockbench.fock import TwoModeState, matrix_exponential
 from fockbench.squeezing import (
     _nilpotent_exp_matrix,
     disentangle_identity_residual,
@@ -15,6 +15,7 @@ from fockbench.squeezing import (
     two_mode_squeezed_vacuum,
     two_mode_theta_vacuum,
 )
+from fockbench.su11 import PairCoherentSpec, pair_coherent, parity_pair_state
 from fockbench.twomode import charge_sectors, ladders_dense, ladders_sparse, number_diagonals
 
 
@@ -57,9 +58,72 @@ def test_noise_report_closed_forms(theta):
 
 
 def test_uncorrelated_limit_has_no_margin():
-    noise = two_mode_noise_report(two_mode_theta_vacuum(0.0, (16, 16)))
-    assert abs(noise["cross_product"]) <= 1e-14
-    assert abs(noise["margin"]) <= 1e-14
+    # vacuum variances are exactly 1/2: the margin is exactly 0, not roundoff
+    for dims in ((2, 2), (16, 16), (9, 13), (40, 40)):
+        noise = two_mode_noise_report(two_mode_theta_vacuum(0.0, dims))
+        assert noise["cross_product"] == 0.0
+        assert noise["margin"] == 0.0
+
+
+def _sparse_noise_report(state: TwoModeState) -> dict:
+    """Reference noise report from sparse two-mode quadrature matrices."""
+    a1, a2 = ladders_sparse(*state.dims)
+    x1 = ((a1 + a1.conj().T) / np.sqrt(2.0)).tocsr()
+    p1 = (-1j * (a1 - a1.conj().T) / np.sqrt(2.0)).tocsr()
+    x2 = ((a2 + a2.conj().T) / np.sqrt(2.0)).tocsr()
+    p2 = (-1j * (a2 - a2.conj().T) / np.sqrt(2.0)).tocsr()
+    vec = state.ravel()
+
+    def ev(op) -> float:
+        return float(np.vdot(vec, op @ vec).real)
+
+    def ev2(opa, opb) -> float:
+        return float(np.vdot(opa @ vec, opb @ vec).real)
+
+    mx1, mp1, mx2, mp2 = ev(x1), ev(p1), ev(x2), ev(p2)
+    var_x1 = ev2(x1, x1) - mx1 * mx1
+    var_p1 = ev2(p1, p1) - mp1 * mp1
+    cross_x = ev2(x1, x2) - mx1 * mx2
+    cross_p = ev2(p1, p2) - mp1 * mp2
+    return {
+        "var_x1": var_x1,
+        "var_p1": var_p1,
+        "var_x2": ev2(x2, x2) - mx2 * mx2,
+        "var_p2": ev2(p2, p2) - mp2 * mp2,
+        "cross_x": cross_x,
+        "cross_p": cross_p,
+        "cross_product": cross_x * cross_p,
+        "margin": var_x1 * var_p1 - 0.25 - cross_x * cross_p,
+    }
+
+
+def _random_grid(dims, seed) -> TwoModeState:
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    return TwoModeState(raw).normalized()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        _random_grid((9, 13), 1),
+        _random_grid((13, 9), 2),
+        _random_grid((2, 5), 3),
+        pair_coherent(PairCoherentSpec(0.8 + 0.3j, 2, 5)),
+        pair_coherent(PairCoherentSpec(1.5, 0, 9)),
+        parity_pair_state(1.5j, 1, 6),
+        parity_pair_state(1.0, 0, 10),
+        two_mode_theta_vacuum(0.6, (11, 7)),
+    ],
+    ids=["random-9x13", "random-13x9", "random-2x5", "pair-q2", "pair-q0",
+         "parity-pair-q1", "parity-pair-q0", "theta-vacuum-11x7"],
+)
+def test_noise_report_matches_sparse_reference(state):
+    noise = two_mode_noise_report(state)
+    ref = _sparse_noise_report(state)
+    assert list(noise) == list(ref)
+    for key, value in ref.items():
+        assert abs(noise[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
 def test_splitting_identity_on_interior():
