@@ -16,7 +16,6 @@ from .fock import (
     matrix_exponential,
     number_operator,
     quadrature_report,
-    suggested_dim,
 )
 
 __version__ = "0.1.0"

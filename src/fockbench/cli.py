@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 BUILTIN_DIM = 64
 MODAL_LEVELS = 12
+COMPLEX_PARAMS = ("alpha", "zeta", "xi", "z")
 
 
 class UsageError(Exception):
@@ -141,7 +143,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--format", choices=("json", "csv"), default=None)
     for name in ("r", "phi", "theta", "s", "k", "lam"):
         common.add_argument(f"--{name}", type=float, default=None)
-    for name in ("alpha", "zeta", "xi", "z"):
+    for name in COMPLEX_PARAMS:
         common.add_argument(f"--{name}", type=_complex_arg, default=None)
     for name in ("q", "m"):
         common.add_argument(f"--{name}", type=int, default=None)
@@ -637,6 +639,12 @@ def run_wavefunction(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser, options = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-0.7+0.3j" for an option: attach it to its flag
+    flags = {f"--{name}" for name in COMPLEX_PARAMS}
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in flags and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -2,7 +2,7 @@
 overlaps, completeness quadrature and harmonic time evolution.
 
 Amplitude convention: <0|alpha> is real positive.  All factorials go
-through log-gamma so that |alpha| up to about 6 stays in range.
+through log-gamma, and the ladder expansion through `fock.log_series`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .fock import (
     FockState,
     GridWavefunction,
     build_ladder,
+    log_series,
     matrix_exponential,
 )
 
@@ -39,12 +40,6 @@ class CoherentSpec:
     alpha: complex
     dim: int
 
-    @property
-    def tight(self) -> bool:
-        """True when the truncation comfortably holds the Poisson tail."""
-        a = abs(self.alpha)
-        return a * a + 6.0 * a + 10.0 <= self.dim
-
 
 @dataclass(frozen=True)
 class EvolutionSpec:
@@ -54,20 +49,13 @@ class EvolutionSpec:
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Unnormalized-by-truncation amplitudes exp(-|a|^2/2) a^n / sqrt(n!)."""
-    ns = np.arange(dim)
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    log_mod = -abs(alpha) ** 2 / 2.0 + ns * np.log(abs(alpha)) - 0.5 * gammaln(ns + 1.0)
-    return np.exp(log_mod) * np.exp(1j * ns * np.angle(alpha))
+    """Amplitudes a^n / sqrt(n!), renormalized on the dim-level basis."""
+    return log_series(-0.5 * gammaln(np.arange(dim) + 1.0), alpha)
 
 
 def coherent_ladder(spec: CoherentSpec) -> FockState:
     """Coherent state by direct summation, renormalized on the basis."""
-    amps = coherent_amplitudes(spec.alpha, spec.dim)
-    return FockState(amps).normalized()
+    return FockState(coherent_amplitudes(spec.alpha, spec.dim))
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:

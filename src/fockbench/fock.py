@@ -30,7 +30,7 @@ __all__ = [
     "quadrature_moments",
     "quadrature_report",
     "fock_basis_state",
-    "suggested_dim",
+    "log_series",
     "max_abs_interior",
 ]
 
@@ -247,9 +247,22 @@ def fock_basis_state(dim: int, n: int) -> FockState:
     return FockState(amps)
 
 
-def suggested_dim(r: float) -> int:
-    """Truncation size for squeezing-type operations at magnitude r."""
-    return math.ceil(8.0 * math.sinh(r) ** 2 + 16)
+def log_series(log_weights: np.ndarray, ratio: complex) -> np.ndarray:
+    """Unit vector c_j proportional to ratio^j exp(log_weights[j]).
+
+    The moduli are formed in log space and scaled by the largest term, so
+    no term underflows or overflows before normalization.  A real ratio
+    keeps its exact sign (-1)^j; ratio 0 gives the first basis vector.
+    """
+    amps = np.zeros(log_weights.size, dtype=complex)
+    if ratio == 0:
+        amps[0] = 1.0
+        return amps
+    js = np.arange(log_weights.size)
+    log_mod = log_weights + js * np.log(abs(ratio))
+    phase = np.exp(1j * js * np.angle(ratio)) if ratio.imag else np.sign(ratio.real) ** js
+    amps[:] = np.exp(log_mod - log_mod.max()) * phase
+    return amps / np.linalg.norm(amps)
 
 
 def max_abs_interior(M: np.ndarray, rows: int, cols: int | None = None) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 from .fock import (
     FockState,
     ladder_moments,
+    log_series,
     matrix_exponential,
     number_operator,
     quadrature_moments,
@@ -138,8 +139,6 @@ def phase_squeeze_unitary(r: float, phi: float, m: int, dim: int) -> tuple[np.nd
 
 
 def phase_squeeze_closed_form(r: float, phi: float, m: int, dim: int) -> FockState:
-    beta = np.tanh(r)
     amps = np.zeros(dim, dtype=complex)
-    ns = np.arange(0, dim, m) // m
-    amps[::m] = (beta * np.exp(1j * phi)) ** ns
-    return FockState(amps).normalized()
+    amps[::m] = log_series(np.zeros((dim - 1) // m + 1), np.tanh(r) * np.exp(1j * phi))
+    return FockState(amps)

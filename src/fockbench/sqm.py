@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh_tridiagonal
 
 from .coherent import coherent_amplitudes
@@ -71,7 +70,8 @@ def build_family(lam: float, xs: np.ndarray | None = None) -> IsospectralFamily:
         raise ValueError("grid must span at least [-10, 10] with 2001 points")
     psi0 = np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
     dens = psi0 * psi0
-    cumulative = cumulative_trapezoid(dens, xs, initial=0.0)
+    # cumulative trapezoid rule, starting from 0 at the left end
+    cumulative = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (dens[1:] + dens[:-1]) / 2.0)))
     phi_lambda = dens / (lam + cumulative)
     if not np.all(np.isfinite(phi_lambda)):
         raise ValueError("deformation diverges on the grid")
@@ -157,8 +157,7 @@ def spectral_check(family: IsospectralFamily, n_levels: int) -> tuple[list[float
 def modal_coherent_coeffs(z: complex, n_levels: int) -> np.ndarray:
     if abs(z) ** 2 + 6.0 * abs(z) > n_levels:
         raise ValueError("modal tail does not fit in the level budget")
-    coeffs = coherent_amplitudes(z, n_levels)
-    return coeffs / np.linalg.norm(coeffs)
+    return coherent_amplitudes(z, n_levels)
 
 
 def modal_squeezed_coeffs(xi: complex, z: complex, n_levels: int) -> np.ndarray:

@@ -27,9 +27,9 @@ from .fock import (
     TwoModeState,
     build_ladder,
     ladder_moments,
+    log_series,
     matrix_exponential,
     quadrature_moments,
-    suggested_dim,
 )
 from .phase import build_R_ops
 from .twomode import charge_sectors, ladders_sparse, number_diagonals
@@ -75,10 +75,6 @@ class SqueezeSpec:
     @property
     def xi(self) -> complex:
         return self.r * np.exp(1j * self.phi)
-
-    @property
-    def tight(self) -> bool:
-        return self.dim >= suggested_dim(self.r)
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,15 @@ def squeezed_vacuum(spec: SqueezeSpec) -> FockState:
     return FockState(squeeze_operator(spec)[:, 0]).normalized()
 
 
+def _even_ket(ratio: complex, dim: int) -> FockState:
+    """Unit ket with amps_{2j} proportional to ratio^j sqrt((2j)!)/j!,
+    the expansion of exp(ratio a+^2)|0> on dim levels."""
+    js = np.arange((dim + 1) // 2)
+    amps = np.zeros(dim, dtype=complex)
+    amps[::2] = log_series(0.5 * gammaln(2.0 * js + 1.0) - gammaln(js + 1.0), ratio)
+    return FockState(amps)
+
+
 def squeezed_vacuum_closed_form(spec: SqueezeSpec) -> FockState:
     """Even-ket expansion of the squeezed vacuum.
 
@@ -141,16 +146,7 @@ def squeezed_vacuum_closed_form(spec: SqueezeSpec) -> FockState:
     The factor 2^{-j} is required for the expansion to reproduce the
     exponential construction; see the uncertainty and fidelity tests.
     """
-    dim = spec.dim
-    js = np.arange((dim + 1) // 2)
-    t = np.tanh(spec.r) / 2.0
-    amps = np.zeros(dim, dtype=complex)
-    if spec.r == 0:
-        amps[0] = 1.0
-        return FockState(amps)
-    log_mod = js * np.log(t) + 0.5 * gammaln(2.0 * js + 1.0) - gammaln(js + 1.0)
-    amps[2 * js] = np.exp(log_mod - log_mod.max()) * np.exp(1j * js * spec.phi)
-    return FockState(amps).normalized()
+    return _even_ket(np.tanh(spec.r) / 2.0 * np.exp(1j * spec.phi), spec.dim)
 
 
 def _nilpotent_exp_matrix(m: np.ndarray) -> np.ndarray:
@@ -193,18 +189,9 @@ def theta_vacuum(theta: float, dim: int) -> FockState:
     """Vacuum of the hyperbolically rotated mode a cosh t - a+ sinh t.
 
     Built from the up-exponential exp((tanh t / 2) a+^2)|0> term by term
-    and renormalized on the basis.
+    and renormalized on the basis, like the squeezed vacuum.
     """
-    js = np.arange((dim + 1) // 2)
-    t = np.tanh(theta) / 2.0
-    amps = np.zeros(dim, dtype=complex)
-    if theta == 0:
-        amps[0] = 1.0
-        return FockState(amps)
-    sign = np.sign(t)
-    log_mod = js * np.log(abs(t)) + 0.5 * gammaln(2.0 * js + 1.0) - gammaln(js + 1.0)
-    amps[2 * js] = np.exp(log_mod - log_mod.max()) * sign ** js
-    return FockState(amps).normalized()
+    return _even_ket(np.tanh(theta) / 2.0, dim)
 
 
 def theta_vacuum_residual(theta: float, dim: int) -> float:
@@ -251,9 +238,7 @@ def phase_squeezed_state_SR(beta: complex, dim: int) -> FockState:
 
 
 def phase_squeezed_profile(beta: complex, dim: int) -> FockState:
-    ns = np.arange(dim)
-    amps = np.sqrt(1.0 - abs(beta) ** 2) * beta ** ns
-    return FockState(amps).normalized()
+    return FockState(log_series(np.zeros(dim), beta))
 
 
 # ----------------------------------------------------------------- splitting
@@ -367,12 +352,9 @@ def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:
 
 def two_mode_theta_vacuum(Theta: float, dims: tuple[int, int]) -> TwoModeState:
     """Geometric pair expansion exp(a1+ a2+ tanh T)|0,0>, renormalized."""
-    da, db = dims
-    n = min(da, db)
-    tau = np.tanh(Theta)
-    amps = np.zeros((da, db), dtype=complex)
-    amps[np.arange(n), np.arange(n)] = tau ** np.arange(n)
-    return TwoModeState(amps).normalized()
+    amps = np.zeros(dims, dtype=complex)
+    np.fill_diagonal(amps, log_series(np.zeros(min(dims)), np.tanh(Theta)))
+    return TwoModeState(amps)
 
 
 def two_mode_noise_report(state: TwoModeState) -> dict:

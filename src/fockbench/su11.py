@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
-from .fock import FockState, TwoModeState, matrix_exponential
+from .fock import FockState, TwoModeState, log_series, matrix_exponential
 from .twomode import ladders_sparse, number_diagonals
 
 __all__ = [
@@ -64,10 +64,6 @@ class PairCoherentSpec:
     def dims(self) -> tuple[int, int]:
         return (self.levels + self.q, self.levels)
 
-    @property
-    def tight(self) -> bool:
-        return abs(self.zeta) <= self.levels / 4.0
-
 
 def su11_generators(rep: SU11Rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Matrices K+, K-, K0 with K+|k,n> = sqrt((n+1)(2k+n))|k,n+1>."""
@@ -97,14 +93,7 @@ def perelomov_state(rep: SU11Rep, xi: complex) -> FockState:
     if abs(kappa) >= 1.0 - 1e-6:
         raise ValueError("coset parameter too close to the unit circle")
     js = np.arange(rep.dim)
-    log_binom = 0.5 * (gammaln(js + 2.0 * rep.k) - gammaln(js + 1.0) - gammaln(2.0 * rep.k))
-    if kappa == 0:
-        amps = np.zeros(rep.dim, dtype=complex)
-        amps[0] = 1.0
-        return FockState(amps)
-    log_mod = rep.k * np.log1p(-abs(kappa) ** 2) + log_binom + js * np.log(abs(kappa))
-    amps = np.exp(log_mod) * np.exp(1j * js * np.angle(kappa))
-    return FockState(amps).normalized()
+    return FockState(log_series(0.5 * (gammaln(js + 2.0 * rep.k) - gammaln(js + 1.0)), kappa))
 
 
 def perelomov_exponential(rep: SU11Rep, xi: complex) -> FockState:
@@ -117,20 +106,15 @@ def perelomov_exponential(rep: SU11Rep, xi: complex) -> FockState:
 
 
 def _charge_sector_state(coeffs: np.ndarray, q: int, levels: int) -> TwoModeState:
+    """Place unit sector coefficients on the kets |n+q, n>."""
     amps = np.zeros((levels + q, levels), dtype=complex)
     amps[np.arange(levels) + q, np.arange(levels)] = coeffs
-    return TwoModeState(amps).normalized()
+    return TwoModeState(amps)
 
 
 def pair_coherent(spec: PairCoherentSpec) -> TwoModeState:
     """Simultaneous eigenstate of ab and of the charge a+a - b+b."""
-    ns = np.arange(spec.levels)
-    if spec.zeta == 0:
-        coeffs = np.zeros(spec.levels, dtype=complex)
-        coeffs[0] = 1.0
-        return _charge_sector_state(coeffs, spec.q, spec.levels)
-    log_mod = ns * np.log(abs(spec.zeta)) - 0.5 * (gammaln(ns + 1.0) + gammaln(ns + spec.q + 1.0))
-    coeffs = np.exp(log_mod - log_mod.max()) * np.exp(1j * ns * np.angle(spec.zeta))
+    coeffs = _pair_sector_coeffs(spec.zeta, spec.q, spec.levels)
     return _charge_sector_state(coeffs, spec.q, spec.levels)
 
 
@@ -159,17 +143,8 @@ def two_mode_perelomov(xi: complex, q: int, levels: int) -> TwoModeState:
 
 def two_mode_perelomov_closed_form(xi: complex, q: int, levels: int) -> TwoModeState:
     """Closed form exp(tau a+b+)|q,0> with tau = xi tanh|xi| / |xi|."""
-    tau = perelomov_kappa(xi)
     ns = np.arange(levels)
-    if tau == 0:
-        coeffs = np.zeros(levels, dtype=complex)
-        coeffs[0] = 1.0
-    else:
-        log_mod = (
-            ns * np.log(abs(tau))
-            + 0.5 * (gammaln(ns + q + 1.0) - gammaln(ns + 1.0) - gammaln(q + 1.0))
-        )
-        coeffs = np.exp(log_mod - log_mod.max()) * np.exp(1j * ns * np.angle(tau))
+    coeffs = log_series(0.5 * (gammaln(ns + q + 1.0) - gammaln(ns + 1.0)), perelomov_kappa(xi))
     return _charge_sector_state(coeffs, q, levels)
 
 
@@ -206,7 +181,7 @@ def nonlinear_pair_coherent(
         peak = abs(coeffs[n + 1])
         if peak > 1e100:
             coeffs /= peak
-    return _charge_sector_state(coeffs, q, levels)
+    return _charge_sector_state(coeffs / np.linalg.norm(coeffs), q, levels)
 
 
 def parity_pair_state(zeta: complex, q: int, levels: int) -> TwoModeState:
@@ -219,20 +194,15 @@ def parity_pair_state(zeta: complex, q: int, levels: int) -> TwoModeState:
 
 def parity_pair_superposition(zeta: complex, q: int, levels: int) -> TwoModeState:
     """Equal-weight superposition of the pair states at +i zeta and
-    -i zeta with phases exp(-+ i pi/4), built from the same unnormalized
-    coefficient sequence as the parity-pair state itself."""
+    -i zeta with phases exp(-+ i pi/4), built from the same coefficient
+    sequence as the parity-pair state itself."""
     up = _pair_sector_coeffs(1j * zeta, q, levels)
     down = _pair_sector_coeffs(-1j * zeta, q, levels)
-    coeffs = (np.exp(-1j * np.pi / 4.0) * up + np.exp(1j * np.pi / 4.0) * down) / np.sqrt(2.0)
-    return _charge_sector_state(coeffs, q, levels)
+    coeffs = np.exp(-1j * np.pi / 4.0) * up + np.exp(1j * np.pi / 4.0) * down
+    return _charge_sector_state(coeffs / np.linalg.norm(coeffs), q, levels)
 
 
 def _pair_sector_coeffs(zeta: complex, q: int, levels: int) -> np.ndarray:
+    """Unit coefficients proportional to zeta^n / sqrt(n! (n+q)!)."""
     ns = np.arange(levels)
-    log_mod = 0.5 * gammaln(q + 1.0) - 0.5 * (gammaln(ns + 1.0) + gammaln(ns + q + 1.0))
-    if zeta == 0:
-        coeffs = np.zeros(levels, dtype=complex)
-        coeffs[0] = np.exp(log_mod[0])
-        return coeffs
-    log_mod = log_mod + ns * np.log(abs(zeta))
-    return np.exp(log_mod) * np.exp(1j * ns * np.angle(zeta))
+    return log_series(-0.5 * (gammaln(ns + 1.0) + gammaln(ns + q + 1.0)), zeta)

@@ -342,14 +342,14 @@ def suite_single_squeeze(cfg) -> list[Check]:
 def suite_two_squeeze(cfg) -> list[Check]:
     theta = _pinned(cfg, "theta", 0.5)
     dim = _pinned(cfg, "dim", 40)
-    dims = (dim, dim)
     checks = []
-    tm = sq.two_mode_squeezed_vacuum(1.0, dims)
+    # a pinned dim truncates the theta state only, not the s = 1 pair vacuum
+    tm = sq.two_mode_squeezed_vacuum(1.0, (40, 40))
     prof = sq.schmidt_profile(tm)
     checks.append(Check("pair-diagonal support", abs(prof["off_diagonal_mass"]), 1e-12))
     checks.append(Check("geometric ratio constancy", prof["ratio_spread"], 1e-8))
 
-    tv = sq.two_mode_theta_vacuum(theta, dims)
+    tv = sq.two_mode_theta_vacuum(theta, (dim, dim))
     noise = sq.two_mode_noise_report(tv)
     expected = np.sinh(2 * theta) ** 2 / 4.0
     checks.append(

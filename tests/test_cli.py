@@ -330,3 +330,42 @@ def test_config_values_take_the_type_of_their_flag(tmp_path, capsys, text, argv,
         assert err.startswith(f"error: {cfg}:{line}: ")
         assert repr(key) in err
         assert len(err.strip().splitlines()) == 1
+
+
+# argparse takes a separate argument starting with '-' for an option
+@pytest.mark.parametrize(
+    "family, args, key, value",
+    [
+        ("coherent", ["--alpha", "-0.7+0.3j"], "alpha", [-0.7, 0.3]),
+        ("pair", ["--zeta", "-0.5-0.2j", "--q", "1"], "zeta", [-0.5, -0.2]),
+        ("perelomov", ["--k", "1", "--xi", "-0.3+0.1j"], "xi", [-0.3, 0.1]),
+        ("lambda-coherent", ["--lam", "1", "--z", "-0.4-0.1j"], "z", [-0.4, -0.1]),
+    ],
+)
+def test_negative_complex_values_as_separate_arguments(family, args, key, value, capsys):
+    assert run_cli("state", "--family", family, "--dim", "8", *args) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"][key] == value
+
+
+def test_flag_without_a_value_is_still_a_usage_error(capsys):
+    assert run_cli("state", "--family", "coherent", "--alpha", "--dim", "8") == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["10", "40"])
+def test_far_out_coherent_state_warns_and_succeeds(alpha, capsys):
+    # dim 16 holds almost none of the alpha 40 state, whose vacuum amplitude
+    # e^-800 underflows; the truncated state must still be formed and flagged
+    assert run_cli("state", "--family", "coherent", "--alpha", alpha, "--dim", "16") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tail_warning"] is True
+    assert abs(sum(payload["photon_distribution"]) - 1.0) <= 1e-12
+
+
+def test_two_squeeze_pins_dim_on_the_theta_state_only(capsys):
+    # the fixed s = 1 pair vacuum keeps its own (40, 40) truncation
+    assert run_cli("verify", "--suite", "two-squeeze", "--dim", "20") == 0
+    capsys.readouterr()
+    # at dim 8 the theta state itself is truncated: an honest failure
+    assert run_cli("verify", "--suite", "two-squeeze", "--dim", "8") == 1
+    assert "FAIL noise cross-term magnitude" in capsys.readouterr().err

@@ -139,8 +139,3 @@ def test_wavefunction_norm_and_center():
     assert abs(mean_x - np.sqrt(2.0) * alpha) <= 1e-8
     with pytest.raises(ValueError):
         coherent_wavefunction(4.0, np.linspace(-2, 2, 101))
-
-
-def test_spec_tightness_flag():
-    assert CoherentSpec(2.0, 64).tight
-    assert not CoherentSpec(7.0, 64).tight

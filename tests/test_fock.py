@@ -12,7 +12,6 @@ from fockbench.fock import (
     max_abs_interior,
     number_operator,
     quadrature_report,
-    suggested_dim,
 )
 from fockbench.squeezing import SqueezeSpec, squeezed_vacuum_closed_form
 
@@ -184,9 +183,3 @@ def test_overlap_and_fidelity():
     assert abs(st.overlap(fock_basis_state(8, 3))) == 0.0
     with pytest.raises(ValueError):
         st.overlap(fock_basis_state(9, 3))
-
-
-def test_suggested_dim_grows_with_squeezing():
-    dims = [suggested_dim(r) for r in (0.0, 0.5, 1.0, 1.5)]
-    assert dims[0] >= 16
-    assert all(d2 > d1 for d1, d2 in zip(dims, dims[1:]))

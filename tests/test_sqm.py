@@ -1,7 +1,11 @@
 """Isospectral deformation of the oscillator on a spatial grid."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from fockbench.fock import FockState, quadrature_report
 from fockbench.sqm import (
@@ -101,3 +105,20 @@ def test_assembled_states_are_grid_normalized():
     # different deformations share the modal profile but not the shape
     other = lambda_coherent(0.5, build_family(5.0), MAX_LEVELS)
     assert wf.l2_distance(other) >= 1e-3
+
+
+@pytest.mark.parametrize(
+    "lo, hi, points", [(-10.0, 10.0, 2001), (-12.0, 12.0, 2401), (-15.0, 15.0, 3001),
+                       (-10.0, 10.0, 4001)]
+)
+def test_cumulative_density_equals_scipy_trapezoid(lo, hi, points):
+    xs = np.linspace(lo, hi, points)
+    fam = build_family(1.0, xs)
+    assert np.array_equal(fam.cumulative, cumulative_trapezoid(fam.psi0 ** 2, xs, initial=0.0))
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, fockbench.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

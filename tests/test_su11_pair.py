@@ -106,8 +106,3 @@ def test_parity_pair_superposition_identity():
         target = parity_pair_state(zeta, q, 32)
         built = parity_pair_superposition(zeta, q, 32)
         assert target.fidelity(built) >= 1.0 - 1e-8
-
-
-def test_pair_spec_tightness():
-    assert PairCoherentSpec(1.0, 0, 32).tight
-    assert not PairCoherentSpec(20.0, 0, 32).tight
