@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -55,6 +56,17 @@ def _fmt_float(x) -> str:
     return "%.17g" % xf
 
 
+def _fmt_array(arr: np.ndarray, cell: str, sep: str) -> str:
+    """Every float of a real or complex array (a complex entry as re, im)
+    put through `cell`, a template of "%.17g" fields, joined by `sep`."""
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite value in artifact")
+    if np.iscomplexobj(arr):
+        arr = np.stack((arr.real, arr.imag), axis=-1)
+    values = np.asarray(arr, dtype=float).ravel().tolist()
+    return sep.join([cell] * (len(values) // cell.count("%"))) % tuple(values)
+
+
 def _emit_json(obj) -> str:
     if obj is None:
         return "null"
@@ -73,12 +85,19 @@ def _emit_json(obj) -> str:
     if isinstance(obj, dict):
         parts = (json.dumps(str(k)) + ":" + _emit_json(v) for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1:
+        cell = "[%.17g,%.17g]" if np.iscomplexobj(obj) else "%.17g"
+        return "[" + _fmt_array(obj, cell, ",") + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_emit_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit_csv(header, rows) -> str:
+    """CSV text; `rows` is a sequence of rows or a 2-d float array."""
+    if isinstance(rows, np.ndarray):
+        cell = ",".join(["%.17g"] * rows.shape[1])
+        return ",".join(header) + "\n" + _fmt_array(rows, cell, "\n") + "\n"
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -113,11 +132,6 @@ def _write_text(path, text) -> None:
             os.unlink(tmp)
 
 
-def _amp_pairs(amps: np.ndarray):
-    flat = np.asarray(amps, dtype=complex).ravel()
-    return [[float(c.real), float(c.imag)] for c in flat]
-
-
 def _param_value(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
@@ -129,9 +143,22 @@ def _param_value(v):
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite complex number: {text!r}")
+    return value
+
+
+def _float_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -142,7 +169,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--out", default=None, help="output path (stdout if omitted)")
     common.add_argument("--format", choices=("json", "csv"), default=None)
     for name in ("r", "phi", "theta", "s", "k", "lam"):
-        common.add_argument(f"--{name}", type=float, default=None)
+        common.add_argument(f"--{name}", type=_float_arg, default=None)
     for name in COMPLEX_PARAMS:
         common.add_argument(f"--{name}", type=_complex_arg, default=None)
     for name in ("q", "m"):
@@ -160,21 +187,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a named suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), default=None)
-    p_verify.add_argument("--tol-scale", type=float, default=None, dest="tol_scale")
+    p_verify.add_argument("--tol-scale", type=_float_arg, default=None, dest="tol_scale")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="sweep one parameter")
     p_sweep.add_argument("--family", choices=FAMILIES, default=None)
     p_sweep.add_argument("--param", default=None)
-    p_sweep.add_argument("--start", type=float, default=None)
-    p_sweep.add_argument("--stop", type=float, default=None)
+    p_sweep.add_argument("--start", type=_float_arg, default=None)
+    p_sweep.add_argument("--stop", type=_float_arg, default=None)
     p_sweep.add_argument("--steps", type=int, default=None)
 
     p_wave = sub.add_parser(
         "wavefunction", parents=[common], help="coordinate-space profile"
     )
     p_wave.add_argument("--family", choices=FAMILIES, default=None)
-    p_wave.add_argument("--x-min", type=float, default=None, dest="x_min")
-    p_wave.add_argument("--x-max", type=float, default=None, dest="x_max")
+    p_wave.add_argument("--x-min", type=_float_arg, default=None, dest="x_min")
+    p_wave.add_argument("--x-max", type=_float_arg, default=None, dest="x_max")
     p_wave.add_argument("--points", type=int, default=None)
     options = {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
     return parser, options
@@ -448,7 +475,7 @@ FAMILIES = {
     ),
     "phase-squeezed": Family(
         ("r", "m", "phi"),
-        lambda p, dim: ph.phase_squeeze_unitary(p["r"], p["phi"], p["m"], dim)[1],
+        lambda p, dim: ph.phase_squeezed_vacuum(p["r"], p["phi"], p["m"], dim),
         _quadrature,
     ),
     "lambda-coherent": Family(
@@ -480,8 +507,8 @@ def _state_payload(args: argparse.Namespace) -> dict:
         "family": args.family,
         "parameters": {k: _param_value(v) for k, v in params.items()},
         "dim": shape[0] if len(shape) == 1 else list(shape),
-        "amplitudes": _amp_pairs(state.amps),
-        "photon_distribution": [float(p) for p in (np.abs(state.amps) ** 2).ravel()],
+        "amplitudes": state.amps.ravel(),
+        "photon_distribution": (np.abs(state.amps) ** 2).ravel(),
         "quadrature_report": None,
     }
     if family.report is not None:
@@ -621,14 +648,13 @@ def run_wavefunction(args: argparse.Namespace) -> int:
                 "family": args.family,
                 "x_min": float(xs[0]),
                 "dx": float(wf.dx),
-                "values": _amp_pairs(wf.values),
+                "values": wf.values,
             }
         )
     else:
-        rows = [
-            (float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
-            for x, v in zip(xs, wf.values)
-        ]
+        real, imag = wf.values.real, wf.values.imag
+        # hypot, then pow: np.abs and squaring by x*x can differ in the last bit
+        rows = np.column_stack((xs, real, imag, np.float_power(np.hypot(real, imag), 2)))
         text = _emit_csv(("x", "re", "im", "abs2"), rows)
     _write_text(args.out, text)
     return 0

@@ -26,10 +26,12 @@ __all__ = [
     "build_quadratures",
     "number_operator",
     "matrix_exponential",
+    "ladder_exp_action",
     "ladder_moments",
     "quadrature_moments",
     "quadrature_report",
     "fock_basis_state",
+    "check_dim",
     "log_series",
     "max_abs_interior",
 ]
@@ -161,10 +163,15 @@ class QuadratureReport:
     tail_warning: bool = False
 
 
+def check_dim(*dims: int) -> None:
+    """Reject a truncation that keeps fewer than two levels of some mode."""
+    if min(dims) < 2:
+        raise ValueError("dim must be at least 2")
+
+
 def build_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation matrices on a dim-dimensional basis."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    check_dim(dim)
     a = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
@@ -194,6 +201,33 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix exponential of non-finite entries")
     return scipy.linalg.expm(M)
+
+
+def ladder_exp_action(
+    weights: np.ndarray, step: int, alpha: complex, v: np.ndarray
+) -> np.ndarray:
+    """exp(alpha L+ - alpha* L) v for L|n> = weights[n]|n-step>.
+
+    The generator couples n only to n +- step, so it acts on each residue
+    chain {c, c + step, c + 2 step, ...} as one tridiagonal matrix G.  The
+    gauge g_k = (i alpha/|alpha|)^k turns iG into the real symmetric
+    tridiagonal T with off-diagonal |alpha| weights; with T = V diag(lam) V^T,
+    exp(G) = g V e^{-i lam} V^T g*.  Chains on which v vanishes are skipped.
+    This exponentiates the truncated generator; it reads no closed form.
+    """
+    out = np.array(v, dtype=complex)
+    if alpha == 0:
+        return out
+    w = abs(alpha) * np.asarray(weights, dtype=float)
+    unit = 1j * alpha / abs(alpha)
+    for c in range(min(step, out.size)):
+        chain = out[c::step]
+        if chain.size < 2 or not chain.any():
+            continue
+        gauge = unit ** np.arange(chain.size)
+        lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(chain.size), w[c + step :: step])
+        out[c::step] = gauge * (vecs @ (np.exp(-1j * lam) * (vecs.T @ (gauge.conj() * chain))))
+    return out
 
 
 def ladder_moments(
@@ -240,6 +274,7 @@ def quadrature_report(state: FockState, tail_tol: float = STATE_TAIL_TOL) -> Qua
 
 
 def fock_basis_state(dim: int, n: int) -> FockState:
+    check_dim(dim)
     if not 0 <= n < dim:
         raise ValueError("basis index out of range")
     amps = np.zeros(dim, dtype=complex)

@@ -14,9 +14,10 @@ import numpy as np
 
 from .fock import (
     FockState,
+    fock_basis_state,
+    ladder_exp_action,
     ladder_moments,
     log_series,
-    matrix_exponential,
     number_operator,
     quadrature_moments,
     quadrature_report,
@@ -29,7 +30,7 @@ __all__ = [
     "number_phase_uncertainty",
     "build_R_ops",
     "build_omega_ops",
-    "phase_squeeze_unitary",
+    "phase_squeezed_vacuum",
 ]
 
 
@@ -94,14 +95,18 @@ def build_R_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return n_op @ ops.gamma_plus, ops.gamma_minus @ n_op
 
 
+def _check_step(m: int, dim: int) -> None:
+    if not 1 <= m <= dim // 4:
+        raise ValueError("ladder step m out of range for this dim")
+
+
 def build_omega_ops(m: int, dim: int) -> OmegaLadder:
     """m-step ladder Omega_m-|n> = n|n-m>, built as (G-)^m N.
 
     The other ordering of the definition, (N + m)(G-)^m, gives the same
     matrix entry for entry; the tests hold the two against each other.
     """
-    if not 1 <= m <= dim // 4:
-        raise ValueError("ladder step m out of range for this dim")
+    _check_step(m, dim)
     ops = build_phase_set(dim)
     n_op = number_operator(dim)
     gm_pow = np.linalg.matrix_power(ops.gamma_minus, m)
@@ -124,18 +129,16 @@ def omega_commutator_defect(ladder: OmegaLadder) -> float:
     return float(np.abs(diff[sl, sl]).max())
 
 
-def phase_squeeze_unitary(r: float, phi: float, m: int, dim: int) -> tuple[np.ndarray, FockState]:
-    """Unitary exp(alpha Omega+ - alpha* Omega-) with alpha = (r/m) e^{i phi}.
+def phase_squeezed_vacuum(r: float, phi: float, m: int, dim: int) -> FockState:
+    """exp(alpha Omega+ - alpha* Omega-)|0> with alpha = (r/m) e^{i phi}.
 
-    Acting on the vacuum it produces the geometric profile
-    sqrt(1 - beta^2) sum_n (beta e^{i phi})^n |mn> with beta = tanh r.
+    This is the geometric profile sqrt(1 - beta^2) sum_n (beta e^{i phi})^n
+    |mn> with beta = tanh r.  Omega-|n> = n|n-m> sets the chain weights.
     """
-    ladder = build_omega_ops(m, dim)
+    _check_step(m, dim)
     alpha = (r / m) * np.exp(1j * phi)
-    gen = alpha * ladder.omega_plus - np.conj(alpha) * ladder.omega_minus
-    u = matrix_exponential(gen)
-    state = FockState(u[:, 0]).normalized()
-    return u, state
+    vac = fock_basis_state(dim, 0).amps
+    return FockState(ladder_exp_action(np.arange(dim, dtype=float), m, alpha, vac)).normalized()
 
 
 def phase_squeeze_closed_form(r: float, phi: float, m: int, dim: int) -> FockState:

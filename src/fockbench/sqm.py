@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .coherent import coherent_amplitudes
-from .fock import GridWavefunction, build_ladder, matrix_exponential
+from .fock import GridWavefunction, build_ladder, fock_basis_state, ladder_exp_action
+from .squeezing import squeeze_action
 
 __all__ = [
     "IsospectralFamily",
@@ -164,12 +165,9 @@ def modal_squeezed_coeffs(xi: complex, z: complex, n_levels: int) -> np.ndarray:
     """Coefficients of S(xi) D(z) applied to the modal ground state."""
     if abs(xi) > 0.75:
         raise ValueError("squeeze magnitude beyond the level budget")
-    a, adag = build_ladder(n_levels)
-    displace = matrix_exponential(z * adag - np.conj(z) * a)
-    squeeze = matrix_exponential((xi * adag @ adag - np.conj(xi) * a @ a) / 2.0)
-    e0 = np.zeros(n_levels, dtype=complex)
-    e0[0] = 1.0
-    coeffs = squeeze @ (displace @ e0)
+    ns = np.arange(n_levels, dtype=float)
+    displaced = ladder_exp_action(np.sqrt(ns), 1, z, fock_basis_state(n_levels, 0).amps)
+    coeffs = squeeze_action(xi, displaced)
     return coeffs / np.linalg.norm(coeffs)
 
 

@@ -26,13 +26,14 @@ from .fock import (
     GridWavefunction,
     TwoModeState,
     build_ladder,
+    fock_basis_state,
+    ladder_exp_action,
     ladder_moments,
     log_series,
     matrix_exponential,
     quadrature_moments,
 )
-from .phase import build_R_ops
-from .twomode import charge_sectors, ladders_sparse, number_diagonals
+from .twomode import charge_sectors, ladders_sparse, number_diagonals, pair_ladder
 
 __all__ = [
     "SqueezeSpec",
@@ -40,6 +41,7 @@ __all__ = [
     "DisentangleCoeffs",
     "GeneralizedFactorSolution",
     "squeeze_operator",
+    "squeeze_action",
     "squeezed_vacuum",
     "squeezed_vacuum_closed_form",
     "squeeze_operator_factored",
@@ -126,8 +128,14 @@ def squeeze_operator(spec: SqueezeSpec) -> np.ndarray:
     return matrix_exponential((xi * adag @ adag - np.conj(xi) * a @ a) / 2.0)
 
 
+def squeeze_action(xi: complex, v: np.ndarray) -> np.ndarray:
+    """exp((xi a+^2 - xi* a^2)/2) v on the len(v)-level basis."""
+    ns = np.arange(len(v), dtype=float)
+    return ladder_exp_action(np.sqrt(ns * (ns - 1.0)), 2, xi / 2.0, v)
+
+
 def squeezed_vacuum(spec: SqueezeSpec) -> FockState:
-    return FockState(squeeze_operator(spec)[:, 0]).normalized()
+    return FockState(squeeze_action(spec.xi, fock_basis_state(spec.dim, 0).amps)).normalized()
 
 
 def _even_ket(ratio: complex, dim: int) -> FockState:
@@ -208,10 +216,9 @@ def vacuum_moment_u(theta: float, n: int, dim: int) -> complex:
     if 2 * n >= dim // 2:
         raise ValueError("moment order too large for this truncation")
     spec = SqueezeSpec(abs(theta), 0.0 if theta >= 0 else np.pi, dim)
-    psi = squeeze_operator(spec)[:, 0]
-    a, _ = build_ladder(dim)
-    vec = np.linalg.matrix_power(a, 2 * n) @ psi
-    return complex(vec[0])
+    psi = squeeze_action(spec.xi, fock_basis_state(dim, 0).amps)
+    # <0| a^{2n} = sqrt((2n)!) <2n|
+    return complex(math.sqrt(math.factorial(2 * n)) * psi[2 * n])
 
 
 def vacuum_moment_closed_form(theta: float, n: int) -> complex:
@@ -229,12 +236,12 @@ def phase_squeezed_state_SR(beta: complex, dim: int) -> FockState:
     """
     if abs(beta) >= 1.0:
         raise ValueError("profile ratio must lie inside the unit disc")
-    r_plus, r_minus = build_R_ops(dim)
-    if beta == 0:
-        return FockState(np.eye(dim, dtype=complex)[:, 0])
+    if dim < 3:
+        raise ValueError("dim must be at least 3")
     alpha = np.arctanh(abs(beta)) * np.exp(1j * np.angle(beta))
-    u = matrix_exponential(alpha * r_plus - np.conj(alpha) * r_minus)
-    return FockState(u[:, 0]).normalized()
+    # R-|n> = n|n-1>
+    amps = ladder_exp_action(np.arange(dim, dtype=float), 1, alpha, fock_basis_state(dim, 0).amps)
+    return FockState(amps).normalized()
 
 
 def phase_squeezed_profile(beta: complex, dim: int) -> FockState:
@@ -318,15 +325,12 @@ def disentangle_identity_residual(
 
 
 def two_mode_squeezed_vacuum(s: float, dims: tuple[int, int]) -> TwoModeState:
-    """exp((s/2)(a1 a2 - a1+ a2+)) |0,0> via sparse exponential action."""
-    da, db = dims
-    a1, a2 = ladders_sparse(da, db)
-    pair_down = a1 @ a2
-    gen = (s / 2.0) * (pair_down - pair_down.conj().T.tocsr())
-    vac = np.zeros(da * db, dtype=complex)
+    """exp((s/2)(a1 a2 - a1+ a2+)) |0,0> on the pair ladder chain."""
+    weights, step = pair_ladder(*dims)
+    vac = np.zeros(weights.size, dtype=complex)
     vac[0] = 1.0
-    out = expm_multiply(gen, vac)
-    return TwoModeState(out.reshape(da, db)).normalized()
+    out = ladder_exp_action(weights, step, -s / 2.0, vac)
+    return TwoModeState(out.reshape(dims)).normalized()
 
 
 def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:

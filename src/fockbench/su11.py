@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
-from .fock import FockState, TwoModeState, log_series, matrix_exponential
-from .twomode import ladders_sparse, number_diagonals
+from .fock import FockState, TwoModeState, fock_basis_state, ladder_exp_action, log_series
+from .twomode import ladders_sparse, number_diagonals, pair_ladder
 
 __all__ = [
     "SU11Rep",
@@ -97,11 +96,11 @@ def perelomov_state(rep: SU11Rep, xi: complex) -> FockState:
 
 
 def perelomov_exponential(rep: SU11Rep, xi: complex) -> FockState:
-    """Same state via the dense matrix exponential (oracle route)."""
-    kplus, kminus, _ = su11_generators(rep)
-    vac = np.zeros(rep.dim, dtype=complex)
-    vac[0] = 1.0
-    out = matrix_exponential(xi * kplus - np.conj(xi) * kminus) @ vac
+    """Same state by exponentiating the truncated generator (oracle
+    route), with K-|k,n> = sqrt(n(2k+n-1))|k,n-1>."""
+    ns = np.arange(rep.dim, dtype=float)
+    weights = np.sqrt(ns * (2.0 * rep.k + ns - 1.0))
+    out = ladder_exp_action(weights, 1, xi, fock_basis_state(rep.dim, 0).amps)
     return FockState(out).normalized()
 
 
@@ -132,12 +131,10 @@ def pair_residuals(state: TwoModeState, zeta: complex, q: int) -> tuple[float, f
 def two_mode_perelomov(xi: complex, q: int, levels: int) -> TwoModeState:
     """exp(xi a+b+ - xi* ab) applied to |q, 0>."""
     da, db = levels + q, levels
-    a1, a2 = ladders_sparse(da, db)
-    pair_down = a1 @ a2
-    gen = xi * pair_down.conj().T - np.conj(xi) * pair_down
+    weights, step = pair_ladder(da, db)
     vac = np.zeros(da * db, dtype=complex)
     vac[q * db] = 1.0
-    out = expm_multiply(gen, vac)
+    out = ladder_exp_action(weights, step, xi, vac)
     return TwoModeState(out.reshape(da, db)).normalized()
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import build_ladder
+from .fock import build_ladder, check_dim
 
-__all__ = ["ladders_dense", "ladders_sparse", "number_diagonals", "charge_sectors"]
+__all__ = ["ladders_dense", "ladders_sparse", "number_diagonals", "pair_ladder", "charge_sectors"]
 
 
 def ladders_dense(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -36,6 +36,16 @@ def number_diagonals(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.repeat(np.arange(dim_a), dim_b).astype(float)
     n2 = np.tile(np.arange(dim_b), dim_a).astype(float)
     return n1, n2
+
+
+def pair_ladder(dim_a: int, dim_b: int) -> tuple[np.ndarray, int]:
+    """Weights and step of the pair operator a1 a2 on the flattened basis:
+    a1 a2 |i> = weights[i] |i - step> with weights sqrt(n1 n2) and step
+    dim_b + 1.  The weight is 0 wherever n2 = 0, so no chain wraps past
+    the edge of a row."""
+    check_dim(dim_a, dim_b)
+    n1, n2 = number_diagonals(dim_a, dim_b)
+    return np.sqrt(n1 * n2), dim_b + 1
 
 
 def charge_sectors(dim_a: int, dim_b: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:

@@ -272,7 +272,7 @@ def suite_phase(cfg) -> list[Check]:
 
     worst = 0.0
     for m in (1, 2, 3):
-        _, st = ph.phase_squeeze_unitary(0.5, 0.3, m, dim)
+        st = ph.phase_squeezed_vacuum(0.5, 0.3, m, dim)
         cf = ph.phase_squeeze_closed_form(0.5, 0.3, m, dim)
         worst = max(worst, _deficit(st.fidelity(cf)))
     checks.append(Check("geometric profile of the ladder unitary", worst, 1e-7))

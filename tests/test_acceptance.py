@@ -36,7 +36,7 @@ from fockbench.phase import (
     build_R_ops,
     omega_commutator_defect,
     phase_squeeze_closed_form,
-    phase_squeeze_unitary,
+    phase_squeezed_vacuum,
 )
 from fockbench.squeezing import (
     SqueezeSpec,
@@ -243,7 +243,7 @@ def test_criterion_08_phase_operator_algebra():
     )
     deficit = 0.0
     for m in (1, 2, 3):
-        _, state = phase_squeeze_unitary(0.5, 0.3, m, dim)
+        state = phase_squeezed_vacuum(0.5, 0.3, m, dim)
         deficit = max(
             deficit, 1.0 - state.fidelity(phase_squeeze_closed_form(0.5, 0.3, m, dim))
         )

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fockbench.cli import main
+from fockbench.cli import _emit_json, main
 from fockbench.sqm import build_family
 
 
@@ -369,3 +369,49 @@ def test_two_squeeze_pins_dim_on_the_theta_state_only(capsys):
     # at dim 8 the theta state itself is truncated: an honest failure
     assert run_cli("verify", "--suite", "two-squeeze", "--dim", "8") == 1
     assert "FAIL noise cross-term magnitude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        (["state", "--family", "coherent", "--alpha=nan", "--dim", "4"], None, "--alpha"),
+        (["state", "--family", "coherent", "--alpha=inf", "--dim", "4"], None, "--alpha"),
+        (["state", "--family", "two-mode", "--theta", "nan"], None, "--theta"),
+        (["state", "--family", "squeezed", "--r", "inf"], None, "--r"),
+        (["state", "--family", "squeezed"], "r=nan\n", "'r'"),
+    ],
+)
+def test_non_finite_values_are_rejected_at_parse_time(argv, config, name, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(*argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert name in errors[0] and "not a finite" in errors[0]
+
+
+def test_flat_array_emission_matches_per_element_formatting():
+    rng = np.random.default_rng(11)
+    real = np.concatenate(
+        (rng.standard_normal(64) * np.logspace(-300, 300, 64), [0.0, -0.0, 5e-324, 1e308])
+    )
+    cplx = real + 1j * real[::-1]
+    assert _emit_json(real) == "[" + ",".join("%.17g" % float(x) for x in real) + "]"
+    pairs = ("[%.17g,%.17g]" % (float(z.real), float(z.imag)) for z in cplx)
+    assert _emit_json(cplx) == "[" + ",".join(pairs) + "]"
+    assert _emit_json(np.zeros((2, 2))) == "[[0,0],[0,0]]"
+    for bad in (np.array([1.0, np.nan]), np.array([1.0, complex(0.0, np.inf)])):
+        with pytest.raises(ValueError, match="non-finite value in artifact"):
+            _emit_json(bad)
+
+
+def test_wavefunction_csv_rows_equal_the_per_point_formula(capsys):
+    assert run_cli("wavefunction", "--family", "squeezed", "--s", "1.3",
+                   "--alpha", "0.1", "--points", "20001") == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    for line in lines:
+        _, re, im, abs2 = line.split(",")
+        v = np.complex128(complex(float(re), float(im)))
+        assert abs2 == "%.17g" % float(abs(v) ** 2)

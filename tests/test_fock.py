@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fockbench.fock import (
     FockState,
     build_ladder,
     build_quadratures,
     fock_basis_state,
+    ladder_exp_action,
     matrix_exponential,
     max_abs_interior,
     number_operator,
@@ -148,6 +151,45 @@ def test_matrix_exponential_group_law_commuting():
     A = 0.7j * x
     lhs = matrix_exponential(A) @ matrix_exponential(2.0 * A)
     assert np.abs(lhs - matrix_exponential(3.0 * A)).max() <= 1e-10
+
+
+_unit = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def _chain_cases(draw):
+    """Weights, step, alpha and a vector with some residue chains zeroed."""
+    dim = draw(st.integers(2, 40))
+    step = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=dim, max_size=dim)))
+    alpha = draw(
+        st.one_of(
+            st.just(0j),
+            st.floats(-1.5, -0.01).map(complex),
+            st.builds(complex, _unit, _unit),
+        )
+    )
+    parts = draw(st.lists(_unit, min_size=2 * dim, max_size=2 * dim))
+    v = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    for c in draw(st.sets(st.integers(0, step - 1))):
+        v[c::step] = 0.0
+    return weights, step, alpha, v
+
+
+@given(_chain_cases())
+def test_ladder_exp_action_matches_dense_exponential(case):
+    weights, step, alpha, v = case
+    dim = v.size
+    lower = np.zeros((dim, dim))
+    lower[np.arange(dim - step), np.arange(step, dim)] = weights[step:]
+    dense = matrix_exponential(alpha * lower.T - np.conj(alpha) * lower) @ v
+    got = ladder_exp_action(weights, step, alpha, v)
+    assert np.abs(got - dense).max() <= 1e-13 * max(1.0, np.linalg.norm(v))
+
+
+def test_ladder_exp_action_at_zero_alpha_returns_v():
+    v = np.arange(6) + 1j
+    assert np.array_equal(ladder_exp_action(np.ones(6), 2, 0j, v), v)
 
 
 def test_matrix_exponential_rejects_non_finite():

@@ -12,7 +12,7 @@ from fockbench.phase import (
     number_phase_uncertainty,
     omega_commutator_defect,
     phase_squeeze_closed_form,
-    phase_squeeze_unitary,
+    phase_squeezed_vacuum,
 )
 
 
@@ -142,7 +142,7 @@ def test_number_state_phase_is_flat():
 def test_ladder_unitary_matches_geometric_profile(m):
     dim = 64
     r, phi = 0.5, 0.3
-    _, state = phase_squeeze_unitary(r, phi, m, dim)
+    state = phase_squeezed_vacuum(r, phi, m, dim)
     closed = phase_squeeze_closed_form(r, phi, m, dim)
     assert state.fidelity(closed) >= 1.0 - 1e-7
 

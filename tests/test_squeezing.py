@@ -42,6 +42,12 @@ def test_mean_photons_and_variance_pair(r):
     assert abs(rep.product - 0.25) <= 1e-7
 
 
+def test_chain_route_equals_the_dense_column_at_dim_512():
+    spec = SqueezeSpec(1.05, 0.3, 512)
+    dense = squeeze_operator(spec)[:, 0]
+    assert np.abs(squeezed_vacuum(spec).amps - dense / np.linalg.norm(dense)).max() <= 1e-13
+
+
 def test_even_support_is_structural():
     st = squeezed_vacuum(SqueezeSpec(0.9, 1.1, 96))
     assert np.abs(st.amps[1::2]).max() <= 1e-14
