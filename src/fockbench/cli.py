@@ -691,6 +691,11 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # exit 1 means a failed check, so an input too large to hold is a usage error
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

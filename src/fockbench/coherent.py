@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import (
     FockState,
     GridWavefunction,
     build_ladder,
+    log_gamma,
     log_series,
     matrix_exponential,
 )
@@ -50,7 +50,7 @@ class EvolutionSpec:
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Amplitudes a^n / sqrt(n!), renormalized on the dim-level basis."""
-    return log_series(-0.5 * gammaln(np.arange(dim) + 1.0), alpha)
+    return log_series(-0.5 * log_gamma(np.arange(dim) + 1.0), alpha)
 
 
 def coherent_ladder(spec: CoherentSpec) -> FockState:
@@ -102,9 +102,10 @@ def completeness_quadrature(radius: float, n_r: int, n_phi: int, dim: int) -> np
     rs = (np.arange(n_r) + 0.5) * (radius / n_r)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     phase = np.exp(1j * np.outer(phis, ns))
+    half_log_fact = 0.5 * log_gamma(ns + 1.0)
     result = np.zeros((dim, dim), dtype=complex)
     for r in rs:
-        log_mod = -r * r / 2.0 + ns * np.log(r) - 0.5 * gammaln(ns + 1.0)
+        log_mod = -r * r / 2.0 + ns * np.log(r) - half_log_fact
         amps = np.exp(log_mod)[None, :] * phase
         weight = r * (radius / n_r) * (2.0 * np.pi / n_phi)
         result += (amps.conj().T @ amps) * weight

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FockState",
@@ -32,6 +31,7 @@ __all__ = [
     "quadrature_report",
     "fock_basis_state",
     "check_dim",
+    "log_gamma",
     "log_series",
     "max_abs_interior",
 ]
@@ -197,6 +197,8 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     accuracy contract (relative error <= 1e-10 for norms up to ~50) is
     enforced by the test suite against an independent Taylor reference.
     """
+    import scipy.linalg
+
     M = np.asarray(M, dtype=complex)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix exponential of non-finite entries")
@@ -215,17 +217,22 @@ def ladder_exp_action(
     exp(G) = g V e^{-i lam} V^T g*.  Chains on which v vanishes are skipped.
     This exponentiates the truncated generator; it reads no closed form.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     out = np.array(v, dtype=complex)
     if alpha == 0:
         return out
-    w = abs(alpha) * np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore"):
+        w = abs(alpha) * np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("exponential action of a generator with non-finite weights")
     unit = 1j * alpha / abs(alpha)
     for c in range(min(step, out.size)):
         chain = out[c::step]
         if chain.size < 2 or not chain.any():
             continue
         gauge = unit ** np.arange(chain.size)
-        lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(chain.size), w[c + step :: step])
+        lam, vecs = eigh_tridiagonal(np.zeros(chain.size), w[c + step :: step])
         out[c::step] = gauge * (vecs @ (np.exp(-1j * lam) * (vecs.T @ (gauge.conj() * chain))))
     return out
 
@@ -280,6 +287,16 @@ def fock_basis_state(dim: int, n: int) -> FockState:
     amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
     return FockState(amps)
+
+
+def log_gamma(x: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) elementwise for a 1-d array of positive reals, by
+    `math.lgamma`; the closed-form series weights need nothing more."""
+    x = np.asarray(x, dtype=float)
+    try:
+        return np.fromiter(map(math.lgamma, x.tolist()), float, count=x.size)
+    except OverflowError as exc:
+        raise ValueError("log-gamma weight beyond the float range") from exc
 
 
 def log_series(log_weights: np.ndarray, ratio: complex) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .coherent import coherent_amplitudes
 from .fock import GridWavefunction, build_ladder, fock_basis_state, ladder_exp_action
@@ -137,6 +136,8 @@ def spectral_check(family: IsospectralFamily, n_levels: int) -> tuple[list[float
 
     Returns (eigenvalue residuals, eigenvector fidelities vs chi_n).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     xs, dx = family.xs, family.dx
     v = deformed_potential(family)
     diag = 1.0 / (dx * dx) + v

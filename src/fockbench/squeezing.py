@@ -2,7 +2,7 @@
 
 Single mode: S = exp((xi a+^2 - xi* a^2)/2) with xi = r e^{i phi}, its
 closed-form vacuum expansion, the hyperbolic vacuum built from a+^2, the
-vacuum moment recurrence and the number-shift route to squeezing.
+vacuum moment recurrence and the geometric phase-squeezed profile.
 
 Two mode: the pair generator a1 a2, its disentangled form through the
 general SU(1,1) splitting, Schmidt and noise diagnostics, the two-boson
@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
 
 from .fock import (
     FockState,
@@ -29,6 +26,7 @@ from .fock import (
     fock_basis_state,
     ladder_exp_action,
     ladder_moments,
+    log_gamma,
     log_series,
     matrix_exponential,
     quadrature_moments,
@@ -50,7 +48,6 @@ __all__ = [
     "theta_vacuum_residual",
     "vacuum_moment_u",
     "vacuum_moment_closed_form",
-    "phase_squeezed_state_SR",
     "phase_squeezed_profile",
     "su11_disentangle_general",
     "disentangle_identity_residual",
@@ -143,7 +140,7 @@ def _even_ket(ratio: complex, dim: int) -> FockState:
     the expansion of exp(ratio a+^2)|0> on dim levels."""
     js = np.arange((dim + 1) // 2)
     amps = np.zeros(dim, dtype=complex)
-    amps[::2] = log_series(0.5 * gammaln(2.0 * js + 1.0) - gammaln(js + 1.0), ratio)
+    amps[::2] = log_series(0.5 * log_gamma(2.0 * js + 1.0) - log_gamma(js + 1.0), ratio)
     return FockState(amps)
 
 
@@ -225,23 +222,6 @@ def vacuum_moment_closed_form(theta: float, n: int) -> complex:
     """k_n cosh^{-1/2}(theta) tanh^n(theta) with k_n = (2n-1)!! ."""
     k_n = math.factorial(2 * n - 1) // (math.factorial(n - 1) * 2 ** (n - 1))
     return complex(k_n * np.cosh(theta) ** -0.5 * np.tanh(theta) ** n)
-
-
-def phase_squeezed_state_SR(beta: complex, dim: int) -> FockState:
-    """Squeezed-profile state from the number-shift ladder R+.
-
-    The geometric amplitude ratio beta corresponds to the exponent
-    parameter artanh|beta| e^{i arg beta} in exp(alpha R+ - alpha* R-);
-    the map mirrors beta = e^{i nu} tanh r with exponent r e^{i nu}.
-    """
-    if abs(beta) >= 1.0:
-        raise ValueError("profile ratio must lie inside the unit disc")
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
-    alpha = np.arctanh(abs(beta)) * np.exp(1j * np.angle(beta))
-    # R-|n> = n|n-1>
-    amps = ladder_exp_action(np.arange(dim, dtype=float), 1, alpha, fock_basis_state(dim, 0).amps)
-    return FockState(amps).normalized()
 
 
 def phase_squeezed_profile(beta: complex, dim: int) -> FockState:
@@ -341,7 +321,11 @@ def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:
     """
     amps = state.amps
     diag = np.diag(amps)
-    off_mass = float(np.sum(np.abs(amps) ** 2) - np.sum(np.abs(diag) ** 2))
+    # summed directly: a difference of two totals leaves roundoff where
+    # every off-diagonal amplitude is exactly zero
+    off_weights = np.abs(amps) ** 2
+    np.fill_diagonal(off_weights, 0.0)
+    off_mass = float(off_weights.sum())
     mags = np.abs(diag)
     usable = np.flatnonzero((mags[:-1] > floor) & (mags[1:] > floor))
     ratios = diag[usable + 1] / diag[usable]
@@ -410,6 +394,9 @@ def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[floa
     pair expansion.  Returns (commutator defect, vacuum annihilation
     defect, 1 - fidelity).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
     da, db = dims
     a1, a2 = ladders_sparse(da, db)
     lam_p = ((a1 + 1j * a2) / np.sqrt(2.0)).tocsr()

@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import FockState, TwoModeState, fock_basis_state, ladder_exp_action, log_series
+from .fock import (
+    FockState,
+    TwoModeState,
+    fock_basis_state,
+    ladder_exp_action,
+    log_gamma,
+    log_series,
+)
 from .twomode import ladders_sparse, number_diagonals, pair_ladder
 
 __all__ = [
@@ -92,7 +98,7 @@ def perelomov_state(rep: SU11Rep, xi: complex) -> FockState:
     if abs(kappa) >= 1.0 - 1e-6:
         raise ValueError("coset parameter too close to the unit circle")
     js = np.arange(rep.dim)
-    return FockState(log_series(0.5 * (gammaln(js + 2.0 * rep.k) - gammaln(js + 1.0)), kappa))
+    return FockState(log_series(0.5 * (log_gamma(js + 2.0 * rep.k) - log_gamma(js + 1.0)), kappa))
 
 
 def perelomov_exponential(rep: SU11Rep, xi: complex) -> FockState:
@@ -141,7 +147,7 @@ def two_mode_perelomov(xi: complex, q: int, levels: int) -> TwoModeState:
 def two_mode_perelomov_closed_form(xi: complex, q: int, levels: int) -> TwoModeState:
     """Closed form exp(tau a+b+)|q,0> with tau = xi tanh|xi| / |xi|."""
     ns = np.arange(levels)
-    coeffs = log_series(0.5 * (gammaln(ns + q + 1.0) - gammaln(ns + 1.0)), perelomov_kappa(xi))
+    coeffs = log_series(0.5 * (log_gamma(ns + q + 1.0) - log_gamma(ns + 1.0)), perelomov_kappa(xi))
     return _charge_sector_state(coeffs, q, levels)
 
 
@@ -202,4 +208,4 @@ def parity_pair_superposition(zeta: complex, q: int, levels: int) -> TwoModeStat
 def _pair_sector_coeffs(zeta: complex, q: int, levels: int) -> np.ndarray:
     """Unit coefficients proportional to zeta^n / sqrt(n! (n+q)!)."""
     ns = np.arange(levels)
-    return log_series(-0.5 * (gammaln(ns + 1.0) + gammaln(ns + q + 1.0)), zeta)
+    return log_series(-0.5 * (log_gamma(ns + 1.0) + log_gamma(ns + q + 1.0)), zeta)

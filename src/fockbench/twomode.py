@@ -8,7 +8,6 @@ sparse variants share the same convention a1 = a x I, a2 = I x a.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import build_ladder, check_dim
 
@@ -23,7 +22,10 @@ def ladders_dense(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
     return a1, a2
 
 
-def ladders_sparse(dim_a: int, dim_b: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def ladders_sparse(dim_a: int, dim_b: int):
+    """a1 and a2 as scipy CSR matrices."""
+    import scipy.sparse as sp
+
     a, _ = build_ladder(dim_a)
     b, _ = build_ladder(dim_b)
     a1 = sp.kron(sp.csr_matrix(a), sp.identity(dim_b, format="csr"), format="csr")

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fockbench import coherent as co
 from fockbench.cli import _emit_json, main
 from fockbench.sqm import build_family
 
@@ -108,6 +109,14 @@ def test_verify_two_squeeze_at_zero_theta(capsys):
     assert checks["correlated uncertainty margin"] == 0.0
 
 
+def test_pair_diagonal_support_reads_exactly_zero(capsys):
+    # the pair vacuum has no off-diagonal amplitude, so even a zero bound holds
+    assert run_cli("verify", "--suite", "two-squeeze", "--tol-scale", "0") == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["pair-diagonal support"]["measured"] == 0.0
+    assert checks["pair-diagonal support"]["passed"] is True
+
+
 def test_verify_artifact_deterministic(tmp_path):
     paths = [tmp_path / "v1.json", tmp_path / "v2.json"]
     for path in paths:
@@ -125,6 +134,56 @@ def test_usage_errors_exit_two(capsys):
                    "--start", "0", "--stop", "1", "--steps", "0") == 2
     assert run_cli("state", "--family", "squeezed", "--r", "0.5", "--dim", "1") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("squeezed", ["--r", "1e308"]),
+        ("phase-squeezed", ["--r", "1e308", "--m", "1"]),
+        ("perelomov", ["--k", "1e306", "--xi", "0.3"]),
+    ],
+)
+def test_overflowing_parameter_is_a_one_line_error(family, params, capsys):
+    # warnings are errors under the test configuration, so a numpy
+    # overflow warning on the way would fail this test too
+    assert run_cli("state", "--family", family, *params, "--dim", "8") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 745. GiB for an array"])
+def test_out_of_memory_exits_two(message, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(co, "evolve_coherent", exhausted)
+    assert run_cli("sweep", "--family", "coherent", "--param", "t", "--start", "0",
+                   "--stop", "1", "--steps", "3", "--alpha", "1", "--dim", "4") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    code = """
+import sys
+from fockbench.cli import main
+for argv in (
+    ["state", "--family", "coherent", "--alpha", "1", "--dim", "16"],
+    ["state", "--family", "pair", "--zeta", "1", "--q", "1", "--dim", "8"],
+    ["state", "--family", "perelomov", "--k", "0.75", "--xi", "0.3", "--dim", "16"],
+    ["state", "--family", "two-mode", "--theta", "0.5", "--dim", "8"],
+    ["wavefunction", "--family", "squeezed", "--s", "1", "--points", "101"],
+):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_precondition_violation_exits_two(capsys):

@@ -4,9 +4,10 @@ against an mpmath reference at 40 digits."""
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fockbench.coherent import CoherentSpec, coherent_amplitudes, coherent_ladder
-from fockbench.fock import log_series
+from fockbench.fock import log_gamma, log_series
 from fockbench.phase import phase_squeeze_closed_form
 from fockbench.sqm import modal_coherent_coeffs
 from fockbench.squeezing import (
@@ -176,3 +177,17 @@ def test_series_scales_by_its_largest_term(ratio):
     base = log_series(weights, ratio)
     for shift in (-1000.0, 1000.0):
         assert np.allclose(log_series(weights + shift, ratio), base, rtol=0.0, atol=1e-12)
+
+
+def test_log_gamma_matches_scipy_on_the_builder_grids():
+    # the weights use n+1 and n+q+1 (coherent, pair, two-mode Perelomov),
+    # 2j+1 (squeezed and theta vacua) and j+2k (Perelomov); near the zeros
+    # of ln Gamma at 1 and 2 the bound is absolute, which is the relative
+    # error the log weight passes on to its amplitude
+    n = np.arange(20001.0)
+    grids = [n + 1.0, 2.0 * n + 1.0]
+    grids += [n + 2.0 * k for k in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 300.0)]
+    grids += [n + q + 1.0 for q in (1, 3, 300)]
+    for x in grids:
+        got, want = log_gamma(x), gammaln(x)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
