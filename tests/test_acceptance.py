@@ -19,7 +19,6 @@ from fockbench.coherent import (
     EvolutionSpec,
     classical_trajectory,
     coherent_ladder,
-    displacement_compose,
     evolve_coherent,
 )
 from fockbench.fock import (
@@ -74,6 +73,7 @@ from fockbench.su11 import (
     perelomov_state,
 )
 
+from coherent_reference import displacement_compose
 
 _uncapture = None
 

@@ -186,6 +186,29 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
     assert proc.stdout.strip() == "[]"
 
 
+def test_exponential_commands_load_no_scipy(tmp_path):
+    code = """
+import sys
+from fockbench.cli import main
+for argv in (
+    ["state", "--family", "squeezed", "--r", "0.5", "--dim", "32"],
+    ["state", "--family", "phase-squeezed", "--r", "0.3", "--m", "2", "--dim", "32"],
+    ["state", "--family", "lambda-squeezed", "--lam", "2", "--xi", "0.25", "--z", "0.3",
+     "--format", "csv"],
+    ["sweep", "--family", "squeezed", "--param", "r", "--start", "0.1", "--stop", "0.5",
+     "--steps", "3", "--dim", "32"],
+    ["verify", "--suite", "coherent"],
+    ["verify", "--suite", "time-evolution"],
+):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_precondition_violation_exits_two(capsys):
     # modal tail cannot fit twelve levels at this displacement
     assert run_cli("state", "--family", "lambda-coherent", "--lam", "1",

@@ -9,13 +9,12 @@ from fockbench.coherent import (
     classical_trajectory,
     coherent_ladder,
     coherent_wavefunction,
-    completeness_quadrature,
-    displacement_compose,
     displacement_operator,
     evolve_coherent,
-    overlap_analytic,
 )
 from fockbench.fock import build_ladder, quadrature_report
+
+from coherent_reference import completeness_quadrature, displacement_compose, overlap_analytic
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1 + 1j, 2.0, 3.0, -2.5j])

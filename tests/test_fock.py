@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -153,6 +154,36 @@ def test_matrix_exponential_group_law_commuting():
     assert np.abs(lhs - matrix_exponential(3.0 * A)).max() <= 1e-10
 
 
+def _with_norm(M: np.ndarray, norm: float) -> np.ndarray:
+    return M * (norm / np.abs(M).sum(axis=0).max())
+
+
+# one 1-norm per Pade degree (3, 5, 7, 9, 13) and two that scale and square
+@pytest.mark.parametrize(
+    "norm, non_normal",
+    [(1e-3, False), (0.2, False), (0.9, False), (2.0, False), (5.0, False),
+     (400.0, False), (40.0, True)],
+)
+def test_matrix_exponential_matches_references_at_each_pade_degree(norm, non_normal):
+    rng = np.random.default_rng(11)
+    if non_normal:
+        # a decaying Jordan-like chain, rotated into a dense matrix
+        J = np.diag(-np.arange(8.0)) + np.diag(np.full(7, 6.0), 1)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        M = Q @ _with_norm(J, norm) @ Q.conj().T
+    else:
+        M = _with_norm(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)), norm)
+    got = matrix_exponential(M)
+    for ref in (scipy.linalg.expm(M), taylor_expm(M)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_matrix_exponential_of_a_diagonal_is_exact():
+    # the time-evolution generator -i t (N + 1/2) at t = pi
+    d = -1j * np.pi * (np.arange(64) + 0.5)
+    assert np.array_equal(matrix_exponential(np.diag(d)), np.diag(np.exp(d)))
+
+
 _unit = st.floats(-1.5, 1.5, allow_nan=False)
 
 
@@ -187,6 +218,21 @@ def test_ladder_exp_action_matches_dense_exponential(case):
     assert np.abs(got - dense).max() <= 1e-13 * max(1.0, np.linalg.norm(v))
 
 
+# chain lengths: step 1 at dim 7 and 8 gives one odd and one even chain,
+# step 2 at dim 15 gives lengths 8 and 7, step 3 at dim 16 gives 6, 5, 5
+@pytest.mark.parametrize("step, dim", [(1, 7), (1, 8), (2, 15), (3, 16)])
+def test_ladder_exp_action_on_odd_and_even_chains(step, dim):
+    rng = np.random.default_rng(dim)
+    weights = np.sqrt(np.arange(dim) * (np.arange(dim) + 1.0))
+    lower = np.zeros((dim, dim))
+    lower[np.arange(dim - step), np.arange(step, dim)] = weights[step:]
+    alpha = 0.6 - 0.45j
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    dense = scipy.linalg.expm(alpha * lower.T - np.conj(alpha) * lower) @ v
+    got = ladder_exp_action(weights, step, alpha, v)
+    assert np.abs(got - dense).max() <= 1e-13 * np.linalg.norm(v)
+
+
 def test_ladder_exp_action_at_zero_alpha_returns_v():
     v = np.arange(6) + 1j
     assert np.array_equal(ladder_exp_action(np.ones(6), 2, 0j, v), v)
@@ -197,6 +243,12 @@ def test_matrix_exponential_rejects_non_finite():
     M[0, 0] = np.inf
     with pytest.raises(ValueError):
         matrix_exponential(M)
+
+
+def test_matrix_exponential_rejects_an_overflowing_norm():
+    # finite entries whose 1-norm is inf: no squaring count exists
+    with pytest.raises(ValueError, match="norm overflows"):
+        matrix_exponential(np.full((3, 3), 1e308))
 
 
 def test_state_validation():

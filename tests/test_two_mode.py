@@ -36,6 +36,14 @@ def test_pair_vacuum_is_schmidt_diagonal():
     assert np.abs(np.asarray(prof["ratios"]) - expected).max() <= 1e-6
 
 
+def test_pair_vacuum_ratios_keep_relative_accuracy():
+    # the ratios divide diagonal amplitudes that fall to the 1e-4 floor, so
+    # they read the exponential's relative, not absolute, error there; an
+    # SVD of the lower-bidiagonal coupling block gives a spread of 2.2e-12
+    prof = schmidt_profile(two_mode_squeezed_vacuum(1.0, (40, 40)))
+    assert prof["ratio_spread"] <= 1e-13
+
+
 def test_theta_vacuum_profile_is_geometric():
     st = two_mode_theta_vacuum(0.5, (32, 32))
     diag = np.diagonal(st.amps)
