@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import io
 import json
 import math
 import os
@@ -39,7 +40,6 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 BUILTIN_DIM = 64
 MODAL_LEVELS = 12
-COMPLEX_PARAMS = ("alpha", "zeta", "xi", "z")
 
 
 class UsageError(Exception):
@@ -94,22 +94,19 @@ def _emit_json(obj) -> str:
 
 
 def _emit_csv(header, rows) -> str:
-    """CSV text; `rows` is a sequence of rows or a 2-d float array."""
+    """CSV text; `rows` is a 2-d float array, or rows of names and numbers
+    (a name is quoted when it holds a comma)."""
     if isinstance(rows, np.ndarray):
         cell = ",".join(["%.17g"] * rows.shape[1])
         return ",".join(header) + "\n" + _fmt_array(rows, cell, "\n") + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(_fmt_float(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    import csv  # verify alone writes name rows; cold state and sweep commands skip it
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    # "%.17g" prints an integer such as the passed flag 1 as "1"
+    writer.writerows([c if isinstance(c, str) else _fmt_float(c) for c in row] for row in rows)
+    return out.getvalue()
 
 
 def _write_text(path, text) -> None:
@@ -170,7 +167,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--format", choices=("json", "csv"), default=None)
     for name in ("r", "phi", "theta", "s", "k", "lam"):
         common.add_argument(f"--{name}", type=_float_arg, default=None)
-    for name in COMPLEX_PARAMS:
+    for name in ("alpha", "zeta", "xi", "z"):
         common.add_argument(f"--{name}", type=_complex_arg, default=None)
     for name in ("q", "m"):
         common.add_argument(f"--{name}", type=int, default=None)
@@ -519,11 +516,11 @@ def _state_payload(args: argparse.Namespace) -> dict:
 def _state_csv(payload: dict) -> str:
     probs = payload["photon_distribution"]
     dim = payload["dim"]
+    index = np.arange(probs.size)
     if isinstance(dim, list):
-        d1, d2 = dim
-        rows = [(n1, n2, probs[n1 * d2 + n2]) for n1 in range(d1) for n2 in range(d2)]
-        return _emit_csv(("n1", "n2", "probability"), rows)
-    return _emit_csv(("n", "probability"), list(enumerate(probs)))
+        n1, n2 = np.divmod(index, dim[1])
+        return _emit_csv(("n1", "n2", "probability"), np.column_stack((n1, n2, probs)))
+    return _emit_csv(("n", "probability"), np.column_stack((index, probs)))
 
 
 def run_state(args: argparse.Namespace) -> int:
@@ -600,7 +597,7 @@ def run_sweep(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise UsageError("sweep needs at least one step")
     values = np.linspace(args.start, args.stop, args.steps)
-    rows = [sweep.row(float(v), args) for v in values]
+    rows = np.array([sweep.row(float(v), args) for v in values], dtype=float)
     if args.format == "json":
         text = _emit_json(
             {
@@ -609,7 +606,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 "family": args.family,
                 "param": args.param,
                 "columns": list(sweep.header),
-                "rows": [[float(c) for c in row] for row in rows],
+                "rows": rows,
             }
         )
     else:
@@ -666,8 +663,15 @@ def run_wavefunction(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser, options = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes "-0.7+0.3j" for an option: attach it to its flag
-    flags = {f"--{name}" for name in COMPLEX_PARAMS}
+    # argparse takes "-0.7+0.3j" or "-1e-1" for an option: attach it to its flag
+    numeric = (int, _float_arg, _complex_arg)
+    flags = {
+        flag
+        for actions in options.values()
+        for action in actions.values()
+        if action.type in numeric
+        for flag in action.option_strings
+    }
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in flags and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
@@ -685,10 +689,8 @@ def main(argv=None) -> int:
             "wavefunction": run_wavefunction,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:
+        # exit 1 means a failed check, so an overflow on the way is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -370,8 +370,6 @@ def log_series(log_weights: np.ndarray, ratio: complex) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def max_abs_interior(M: np.ndarray, rows: int, cols: int | None = None) -> float:
-    """Largest entry magnitude of the leading rows x cols block."""
-    if cols is None:
-        cols = rows
-    return float(np.abs(M[:rows, :cols]).max())
+def max_abs_interior(M: np.ndarray, size: int) -> float:
+    """Largest entry magnitude of the leading size x size block."""
+    return float(np.abs(M[:size, :size]).max())

@@ -1,8 +1,8 @@
 """Single-mode and two-mode squeezing.
 
 Single mode: S = exp((xi a+^2 - xi* a^2)/2) with xi = r e^{i phi}, its
-closed-form vacuum expansion, the hyperbolic vacuum built from a+^2, the
-vacuum moment recurrence and the geometric phase-squeezed profile.
+closed-form vacuum expansion, the hyperbolic vacuum built from a+^2 and the
+vacuum moment recurrence.
 
 Two mode: the pair generator a1 a2, its disentangled form through the
 general SU(1,1) splitting, Schmidt and noise diagnostics, the two-boson
@@ -48,7 +48,6 @@ __all__ = [
     "theta_vacuum_residual",
     "vacuum_moment_u",
     "vacuum_moment_closed_form",
-    "phase_squeezed_profile",
     "su11_disentangle_general",
     "disentangle_identity_residual",
     "two_mode_squeezed_vacuum",
@@ -222,10 +221,6 @@ def vacuum_moment_closed_form(theta: float, n: int) -> complex:
     """k_n cosh^{-1/2}(theta) tanh^n(theta) with k_n = (2n-1)!! ."""
     k_n = math.factorial(2 * n - 1) // (math.factorial(n - 1) * 2 ** (n - 1))
     return complex(k_n * np.cosh(theta) ** -0.5 * np.tanh(theta) ** n)
-
-
-def phase_squeezed_profile(beta: complex, dim: int) -> FockState:
-    return FockState(log_series(np.zeros(dim), beta))
 
 
 # ----------------------------------------------------------------- splitting

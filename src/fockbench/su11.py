@@ -2,14 +2,13 @@
 
 The abstract discrete-series representation with Bargmann index k acts on
 an internal basis |k,0>..|k,dim-1>.  The two-mode families (pair coherent,
-two-mode Perelomov, nonlinear and parity-pair states) live in a fixed
+two-mode Perelomov and parity-pair states) live in a fixed
 charge sector: every ket is |n+q, n> for charge q = <a+a - b+b>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .fock import (
     log_gamma,
     log_series,
 )
-from .twomode import ladders_sparse, number_diagonals, pair_ladder
+from .twomode import number_diagonals, pair_ladder
 
 __all__ = [
     "SU11Rep",
@@ -30,7 +29,6 @@ __all__ = [
     "perelomov_state",
     "pair_coherent",
     "two_mode_perelomov",
-    "nonlinear_pair_coherent",
     "parity_pair_state",
 ]
 
@@ -123,13 +121,19 @@ def pair_coherent(spec: PairCoherentSpec) -> TwoModeState:
     return _charge_sector_state(coeffs, spec.q, spec.levels)
 
 
+def _lower_pair(vec: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """a1 a2 applied to a flattened two-mode vector, by `pair_ladder`."""
+    weights, step = pair_ladder(*dims)
+    out = np.zeros_like(vec)
+    out[:-step] = weights[step:] * vec[step:]
+    return out
+
+
 def pair_residuals(state: TwoModeState, zeta: complex, q: int) -> tuple[float, float]:
     """Norms of (ab - zeta)|psi> and (a+a - b+b - q)|psi>."""
-    da, db = state.dims
-    a1, a2 = ladders_sparse(da, db)
     vec = state.ravel()
-    eig = (a1 @ (a2 @ vec)) - zeta * vec
-    n1, n2 = number_diagonals(da, db)
+    eig = _lower_pair(vec, state.dims) - zeta * vec
+    n1, n2 = number_diagonals(*state.dims)
     charge = (n1 - n2 - q) * vec
     return float(np.linalg.norm(eig)), float(np.linalg.norm(charge))
 
@@ -156,35 +160,10 @@ def perelomov_nonlinear_residual(xi: complex, q: int, levels: int) -> float:
     two-mode Perelomov state: [2/(2+q+N1+N2)] ab acts as multiplication
     by xi tanh|xi| / |xi|."""
     state = two_mode_perelomov(xi, q, levels)
-    da, db = state.dims
-    a1, a2 = ladders_sparse(da, db)
     vec = state.ravel()
-    lowered = a1 @ (a2 @ vec)
-    n1, n2 = number_diagonals(da, db)
-    weighted = 2.0 / (2.0 + q + n1 + n2) * lowered
+    n1, n2 = number_diagonals(*state.dims)
+    weighted = 2.0 / (2.0 + q + n1 + n2) * _lower_pair(vec, state.dims)
     return float(np.linalg.norm(weighted - perelomov_kappa(xi) * vec))
-
-
-def nonlinear_pair_coherent(
-    f: Callable[[int, int], float], zeta: complex, q: int, levels: int
-) -> TwoModeState:
-    """Charge-sector solution of f(N1, N2) ab |psi> = zeta |psi>.
-
-    The eigen-equation induces a one-step recursion on the sector
-    coefficients; f is evaluated at the target occupations (n+q, n).
-    """
-    coeffs = np.zeros(levels, dtype=complex)
-    coeffs[0] = 1.0
-    for n in range(levels - 1):
-        fval = f(n + q, n)
-        if fval == 0:
-            raise ZeroDivisionError(f"nonlinearity vanishes at occupations ({n + q}, {n})")
-        coeffs[n + 1] = zeta * coeffs[n] / (fval * np.sqrt((n + 1.0) * (n + q + 1.0)))
-        # rescale to dodge overflow for strongly growing profiles
-        peak = abs(coeffs[n + 1])
-        if peak > 1e100:
-            coeffs /= peak
-    return _charge_sector_state(coeffs / np.linalg.norm(coeffs), q, levels)
 
 
 def parity_pair_state(zeta: complex, q: int, levels: int) -> TwoModeState:

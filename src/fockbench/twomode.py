@@ -1,8 +1,8 @@
 """Two-mode ladder operators, number diagonals and charge sectors on a
 rectangular truncated basis.
 
-Index order is row-major in (n1, n2): mode 1 varies slowest.  Dense and
-sparse variants share the same convention a1 = a x I, a2 = I x a.
+Index order is row-major in (n1, n2): mode 1 varies slowest, so
+a1 = a x I and a2 = I x a.
 """
 
 from __future__ import annotations
@@ -11,15 +11,7 @@ import numpy as np
 
 from .fock import build_ladder, check_dim
 
-__all__ = ["ladders_dense", "ladders_sparse", "number_diagonals", "pair_ladder", "charge_sectors"]
-
-
-def ladders_dense(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
-    a, _ = build_ladder(dim_a)
-    b, _ = build_ladder(dim_b)
-    a1 = np.kron(a, np.eye(dim_b))
-    a2 = np.kron(np.eye(dim_a), b)
-    return a1, a2
+__all__ = ["ladders_sparse", "number_diagonals", "pair_ladder", "charge_sectors"]
 
 
 def ladders_sparse(dim_a: int, dim_b: int):

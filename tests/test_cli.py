@@ -1,5 +1,7 @@
 """Command line behavior: artifacts, determinism, exit codes, precedence."""
 
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from fockbench import coherent as co
 from fockbench.cli import _emit_json, main
 from fockbench.sqm import build_family
+from fockbench.verify import SUITES
 
 
 def run_cli(*argv):
@@ -117,6 +120,26 @@ def test_pair_diagonal_support_reads_exactly_zero(capsys):
     assert checks["pair-diagonal support"]["passed"] is True
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_csv_has_four_fields_per_row(suite, capsys):
+    assert run_cli("verify", "--suite", suite, "--format", "csv") == 0
+    table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert table[0] == ["check", "measured", "bound", "passed"]
+    assert len(table) > 1 and all(len(row) == 4 for row in table)
+
+
+def test_overflow_in_a_suite_is_a_usage_error():
+    # a subprocess, because numpy's overflow warning is an error under pytest
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockbench.cli", "verify", "--suite", "coherent",
+         "--alpha", "1e200"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+
+
 def test_verify_artifact_deterministic(tmp_path):
     paths = [tmp_path / "v1.json", tmp_path / "v2.json"]
     for path in paths:
@@ -199,6 +222,7 @@ for argv in (
      "--steps", "3", "--dim", "32"],
     ["verify", "--suite", "coherent"],
     ["verify", "--suite", "time-evolution"],
+    ["verify", "--suite", "pair"],
 ):
     assert main(argv + ["--out", sys.argv[1]]) == 0, argv
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
@@ -427,6 +451,24 @@ def test_config_values_take_the_type_of_their_flag(tmp_path, capsys, text, argv,
 def test_negative_complex_values_as_separate_arguments(family, args, key, value, capsys):
     assert run_cli("state", "--family", family, "--dim", "8", *args) == 0
     assert json.loads(capsys.readouterr().out)["parameters"][key] == value
+
+
+# argparse's negative-number pattern has no exponent
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["state", "--family", "squeezed", "--r", "0.5", "--dim", "8", "--phi", "-1e-1"],
+         "phi", -0.1),
+        (["state", "--family", "theta-vacuum", "--dim", "8", "--theta", "-2e-1"],
+         "theta", -0.2),
+        (["wavefunction", "--family", "squeezed", "--s", "1", "--points", "11",
+          "--format", "json", "--x-min", "-1e1"], "x_min", -10.0),
+    ],
+)
+def test_negative_exponent_values_as_separate_arguments(argv, key, value, capsys):
+    assert run_cli(*argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.get("parameters", payload)[key] == value
 
 
 def test_flag_without_a_value_is_still_a_usage_error(capsys):

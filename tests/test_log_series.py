@@ -12,7 +12,6 @@ from fockbench.phase import phase_squeeze_closed_form
 from fockbench.sqm import modal_coherent_coeffs
 from fockbench.squeezing import (
     SqueezeSpec,
-    phase_squeezed_profile,
     squeezed_vacuum_closed_form,
     theta_vacuum,
     two_mode_theta_vacuum,
@@ -146,8 +145,11 @@ for r, phi, m in ((0.0, 0.0, 1), (0.5, 0.3, 2), (1.2, -1.0, 3), (-0.7, 0.0, 1)):
     CASES.append((f"phase_squeeze-{r}-{phi}-{m}",
                   lambda r=r, phi=phi, m=m: phase_squeeze_closed_form(r, phi, m, 40).amps,
                   lambda r=r, phi=phi, m=m: phase_ket(r, phi, m, 40)))
+# the m = 1 profile at tanh r e^{i phi} = beta
 for beta in RATIOS:
-    CASES.append((f"phase_profile-{beta}", lambda b=beta: phase_squeezed_profile(b, 40).amps,
+    CASES.append((f"phase_profile-{beta}",
+                  lambda b=beta: phase_squeeze_closed_form(
+                      np.arctanh(abs(b)), np.angle(b), 1, 40).amps,
                   lambda b=beta: to_numpy(ref_series(b, one, 40))))
 for theta, dims in ((0.0, (5, 5)), (0.5, (32, 32)), (-0.8, (40, 23)), (1.4, (9, 13))):
     CASES.append((f"two_mode_theta-{theta}-{dims}",

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from fockbench.fock import build_ladder, quadrature_report
-from fockbench.phase import phase_squeezed_vacuum
+from fockbench.phase import phase_squeeze_closed_form, phase_squeezed_vacuum
 from fockbench.squeezing import (
     BogoliubovMap,
     SqueezeSpec,
     bogoliubov_apply,
-    phase_squeezed_profile,
     squeeze_operator,
     squeeze_operator_factored,
     squeezed_vacuum,
@@ -164,8 +163,9 @@ def test_moment_recurrence_central_difference():
 def test_number_shift_route_gives_geometric_profile():
     # R+- are the phase ladders Omega+- at step m = 1
     for beta in (0.4, 0.5 * np.exp(0.9j)):
-        built = phase_squeezed_vacuum(np.arctanh(abs(beta)), np.angle(beta), 1, 96)
-        profile = phase_squeezed_profile(beta, 96)
+        r, phi = np.arctanh(abs(beta)), np.angle(beta)
+        built = phase_squeezed_vacuum(r, phi, 1, 96)
+        profile = phase_squeeze_closed_form(r, phi, 1, 96)
         assert built.fidelity(profile) >= 1.0 - 1e-7
 
 

@@ -6,7 +6,6 @@ import pytest
 from fockbench.su11 import (
     PairCoherentSpec,
     SU11Rep,
-    nonlinear_pair_coherent,
     pair_coherent,
     pair_residuals,
     perelomov_exponential,
@@ -84,21 +83,6 @@ def test_two_mode_perelomov_routes_agree():
 def test_nonlinear_lowering_relation():
     assert perelomov_nonlinear_residual(0.5, 0, 48) <= 1e-7
     assert perelomov_nonlinear_residual(0.4 * np.exp(0.3j), 1, 48) <= 1e-7
-
-
-def test_nonlinear_recursion_reduces_to_plain_pair():
-    ones = nonlinear_pair_coherent(lambda n1, n2: 1.0, 1 + 1j, 2, 32)
-    plain = pair_coherent(PairCoherentSpec(1 + 1j, 2, 32))
-    assert ones.fidelity(plain) >= 1.0 - 1e-12
-
-
-def test_nonlinear_recursion_reports_zero_crossing():
-    def f(n1, n2):
-        return float(n1 - 3)
-
-    with pytest.raises(ZeroDivisionError) as err:
-        nonlinear_pair_coherent(f, 1.0, 3, 16)
-    assert "3" in str(err.value)
 
 
 def test_parity_pair_superposition_identity():

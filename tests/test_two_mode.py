@@ -16,12 +16,12 @@ from fockbench.squeezing import (
     two_mode_theta_vacuum,
 )
 from fockbench.su11 import PairCoherentSpec, pair_coherent, parity_pair_state
-from fockbench.twomode import charge_sectors, ladders_dense, ladders_sparse, number_diagonals
+from fockbench.twomode import charge_sectors, ladders_sparse, number_diagonals
 
 
 def test_ladders_commute_across_modes():
-    a1, a2 = ladders_dense(6, 5)
-    assert np.abs(a1 @ a2 - a2 @ a1).max() == 0.0
+    a1, a2 = ladders_sparse(6, 5)
+    assert np.abs((a1 @ a2 - a2 @ a1).toarray()).max() == 0.0
     n1, n2 = number_diagonals(6, 5)
     assert n1.size == 30 and n2.size == 30
     assert n1[7] == 1 and n2[7] == 2  # row-major (n1, n2) = (1, 2)
