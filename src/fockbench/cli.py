@@ -129,12 +129,6 @@ def _write_text(path, text) -> None:
             os.unlink(tmp)
 
 
-def _param_value(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 # ------------------------------------------------------------ CLI parsing
 
 
@@ -502,7 +496,7 @@ def _state_payload(args: argparse.Namespace) -> dict:
         "schema": SCHEMA_VERSION,
         "command": "state",
         "family": args.family,
-        "parameters": {k: _param_value(v) for k, v in params.items()},
+        "parameters": params,
         "dim": shape[0] if len(shape) == 1 else list(shape),
         "amplitudes": state.amps.ravel(),
         "photon_distribution": (np.abs(state.amps) ** 2).ravel(),
@@ -628,8 +622,8 @@ def run_wavefunction(args: argparse.Namespace) -> int:
     def grid(center, half):
         lo = args.x_min if args.x_min is not None else center - half
         hi = args.x_max if args.x_max is not None else center + half
-        if hi <= lo:
-            raise UsageError("x-max must exceed x-min")
+        if not 0.0 < hi - lo < math.inf:
+            raise UsageError("x-max must exceed x-min by a grid span within the float range")
         return np.linspace(lo, hi, points)
 
     profile = FAMILIES[args.family].profile

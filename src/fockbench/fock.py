@@ -26,6 +26,7 @@ __all__ = [
     "number_operator",
     "matrix_exponential",
     "ladder_exp_action",
+    "ladder_nilpotent_exp",
     "ladder_moments",
     "quadrature_moments",
     "quadrature_report",
@@ -133,12 +134,8 @@ class GridWavefunction:
             raise ValueError("dx must be positive")
 
     @property
-    def n_points(self) -> int:
-        return self.values.size
-
-    @property
     def xs(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_points)
+        return self.x_min + self.dx * np.arange(self.values.size)
 
     @property
     def norm(self) -> float:
@@ -290,21 +287,38 @@ def ladder_exp_action(
     return out
 
 
+def ladder_nilpotent_exp(weights: np.ndarray, step: int, g: complex) -> np.ndarray:
+    """Dense exp(g L) for L|n> = weights[n]|n-step>; exp(g L+) is its transpose.
+
+    The k-th term g^k L^k / k! of the finite series is the diagonal at offset
+    k step, a running product of the weights times g/k: O(dim^2) in all.
+    """
+    dim = len(weights)
+    out = np.eye(dim, dtype=complex)
+    term = np.ones(dim, dtype=complex)
+    for k in range(1, (dim - 1) // step + 1):
+        term = term[:-step] * (g * weights[k * step :]) / k
+        out[np.arange(term.size), np.arange(k * step, dim)] = term
+    return out
+
+
 def ladder_moments(
-    amps: np.ndarray, weights: np.ndarray, axis: int = 0
-) -> tuple[complex, complex, float, float]:
+    amps: np.ndarray, weights: np.ndarray, axis: int = 0, batch: bool = False
+) -> tuple:
     """<L>, <L^2>, <L+L> and <LL+> for L|n> = weights[n]|n-1> along `axis`.
 
     These are the truncated-matrix moments: the top level has no L+ image.
-    Each is a sum over shifted slices, O(amps.size).
+    Each is a sum over shifted slices, O(amps.size).  With `batch`, `amps`
+    holds one state per column (levels along axis 0) and each moment is an
+    array over the columns.
     """
     psi = np.asarray(amps).swapaxes(0, axis)
     w = np.asarray(weights, dtype=float)[1:].reshape((-1,) + (1,) * (psi.ndim - 1))
     low = w * psi[1:]  # L psi on levels 0 .. dim-2
     up = w * psi[:-1]  # L+ psi on levels 1 .. dim-1
-    first = complex(np.vdot(psi[:-1], low))
-    second = complex(np.vdot(psi[:-2], w[:-1] * low[1:]))
-    return first, second, float(np.vdot(low, low).real), float(np.vdot(up, up).real)
+    dot = (lambda x, y: np.vecdot(x, y, axis=0)) if batch else np.vdot
+    second = dot(psi[:-2], w[:-1] * low[1:])
+    return dot(psi[:-1], low), second, dot(low, low).real, dot(up, up).real
 
 
 def quadrature_moments(moments: tuple) -> tuple[float, float, float, float]:

@@ -26,6 +26,7 @@ from .fock import (
     fock_basis_state,
     ladder_exp_action,
     ladder_moments,
+    ladder_nilpotent_exp,
     log_gamma,
     log_series,
     matrix_exponential,
@@ -100,14 +101,10 @@ class DisentangleCoeffs:
     gamma0: complex
     gamma_plus: complex
     gamma_minus: complex
-    theta_sq: complex
 
 
 @dataclass(frozen=True)
 class GeneralizedFactorSolution:
-    mu: float
-    nu: float
-    c: float
     phi_part: GridWavefunction
     chi_part: GridWavefunction
     phi_normalizable: bool
@@ -119,9 +116,13 @@ class GeneralizedFactorSolution:
 
 
 def squeeze_operator(spec: SqueezeSpec) -> np.ndarray:
+    """Dense exp((xi a+^2 - xi* a^2)/2).  The generator couples n only to
+    n +- 2, so its even and odd blocks are exponentiated apart."""
     a, adag = build_ladder(spec.dim)
-    xi = spec.xi
-    return matrix_exponential((xi * adag @ adag - np.conj(xi) * a @ a) / 2.0)
+    out = (spec.xi * adag @ adag - np.conj(spec.xi) * a @ a) / 2.0
+    for c in (0, 1):  # no entry couples the two parities
+        out[c::2, c::2] = matrix_exponential(out[c::2, c::2])
+    return out
 
 
 def squeeze_action(xi: complex, v: np.ndarray) -> np.ndarray:
@@ -153,29 +154,16 @@ def squeezed_vacuum_closed_form(spec: SqueezeSpec) -> FockState:
     return _even_ket(np.tanh(spec.r) / 2.0 * np.exp(1j * spec.phi), spec.dim)
 
 
-def _nilpotent_exp_matrix(m: np.ndarray) -> np.ndarray:
-    """Exponential of a strictly triangular matrix by its finite series."""
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, m.shape[0] + 1):
-        term = term @ m / k
-        if not term.any():
-            break
-        out += term
-    return out
-
-
 def squeeze_operator_factored(spec: SqueezeSpec) -> np.ndarray:
     """Squeeze operator as the ordered product of up, diagonal and down
     exponentials obtained from the general disentangling coefficients."""
     coeffs = su11_disentangle_general(0.0, spec.xi, -np.conj(spec.xi))
-    a, adag = build_ladder(spec.dim)
-    ns = np.arange(spec.dim)
-    k0_diag = (ns + 0.5) / 2.0
-    up = _nilpotent_exp_matrix(coeffs.gamma_plus * adag @ adag / 2.0)
-    down = _nilpotent_exp_matrix(coeffs.gamma_minus * a @ a / 2.0)
-    middle = np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
-    return up @ middle @ down
+    ns = np.arange(spec.dim, dtype=float)
+    weights = np.sqrt(ns * (ns - 1.0))  # a^2 |n> = weights[n] |n - 2>
+    up = ladder_nilpotent_exp(weights, 2, coeffs.gamma_plus / 2.0).T
+    down = ladder_nilpotent_exp(weights, 2, coeffs.gamma_minus / 2.0)
+    middle = np.exp(np.log(coeffs.gamma0) * (ns + 0.5) / 2.0)
+    return (up * middle) @ down
 
 
 def squeezed_wavefunction(s: float, x0: float, p0: float, xs: np.ndarray) -> GridWavefunction:
@@ -183,10 +171,12 @@ def squeezed_wavefunction(s: float, x0: float, p0: float, xs: np.ndarray) -> Gri
     if s <= 0:
         raise ValueError("width must be positive")
     xs = np.asarray(xs, dtype=float)
-    if xs[0] > x0 - 8.0 * s or xs[-1] < x0 + 8.0 * s:
-        raise ValueError("grid must cover [x0 - 8s, x0 + 8s]")
+    dx = float(xs[1] - xs[0])
+    # steps of at most 2s resolve the width: 8 or more span [x0 - 8s, x0 + 8s]
+    if xs[0] > x0 - 8.0 * s or xs[-1] < x0 + 8.0 * s or not dx <= 2.0 * s:
+        raise ValueError(f"grid must cover [x0 - 8s, x0 + 8s] in steps of at most 2s, not {dx:g}")
     psi = np.exp(-((xs - x0) ** 2) / (2.0 * s * s) + 1j * p0 * xs)
-    return GridWavefunction(float(xs[0]), float(xs[1] - xs[0]), psi).normalized()
+    return GridWavefunction(float(xs[0]), dx, psi).normalized()
 
 
 def theta_vacuum(theta: float, dim: int) -> FockState:
@@ -252,7 +242,7 @@ def su11_disentangle_general(
     gamma0 = base ** -2.0
     gamma_plus = zeta_plus * sinhc / base
     gamma_minus = zeta_minus * sinhc / base
-    return DisentangleCoeffs(gamma0, gamma_plus, gamma_minus, theta_sq)
+    return DisentangleCoeffs(gamma0, gamma_plus, gamma_minus)
 
 
 def disentangle_identity_residual(
@@ -282,16 +272,14 @@ def disentangle_identity_residual(
         if not keep.any():
             continue
         k0_diag = (n1 + n2 + 1.0) / 2.0
-        pair_down = np.diag(np.sqrt(n1[1:]) * np.sqrt(n2[1:]), 1)
-        pair_up = pair_down.T
+        weights = np.sqrt(n1) * np.sqrt(n2)  # a1 a2 steps one place down the sector
+        pair_down = np.diag(weights[1:], 1)
         lhs = matrix_exponential(
-            zeta0 * np.diag(k0_diag) + zeta_plus * pair_up + zeta_minus * pair_down
+            zeta0 * np.diag(k0_diag) + zeta_plus * pair_down.T + zeta_minus * pair_down
         )
-        rhs = (
-            _nilpotent_exp_matrix(coeffs.gamma_plus * pair_up)
-            @ np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
-            @ _nilpotent_exp_matrix(coeffs.gamma_minus * pair_down)
-        )
+        up = ladder_nilpotent_exp(weights, 1, coeffs.gamma_plus).T
+        middle = np.exp(np.log(coeffs.gamma0) * k0_diag)
+        rhs = (up * middle) @ ladder_nilpotent_exp(weights, 1, coeffs.gamma_minus)
         worst = max(worst, float(np.abs((lhs - rhs)[np.ix_(keep, keep)]).max()))
     return worst
 
@@ -309,7 +297,7 @@ def two_mode_squeezed_vacuum(s: float, dims: tuple[int, int]) -> TwoModeState:
 
 
 def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:
-    """Diagonal amplitudes, off-diagonal mass and the ratio ladder.
+    """Off-diagonal mass and the ratio ladder of the diagonal amplitudes.
 
     Ratios are formed only where consecutive diagonal amplitudes both
     exceed `floor`; deeper entries are dominated by roundoff.
@@ -326,7 +314,6 @@ def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:
     ratios = diag[usable + 1] / diag[usable]
     spread = float(np.abs(ratios - ratios.mean()).max()) if ratios.size else 0.0
     return {
-        "diagonal": diag,
         "off_diagonal_mass": off_mass,
         "ratios": ratios,
         "ratio_spread": spread,
@@ -489,9 +476,6 @@ def generalized_condition_solution(
     phi_norm = -(mu + nu) / (2.0 * mu) < 0
     chi_norm = -(mu - nu) / (2.0 * nu) < 0
     return GeneralizedFactorSolution(
-        mu=mu,
-        nu=nu,
-        c=c,
         phi_part=GridWavefunction(float(x1[0]), float(h1), phi),
         chi_part=GridWavefunction(float(x2[0]), float(h2), chi),
         phi_normalizable=bool(phi_norm),

@@ -23,9 +23,11 @@ from .fock import (
     build_ladder,
     build_quadratures,
     fock_basis_state,
+    ladder_moments,
     matrix_exponential,
     max_abs_interior,
     number_operator,
+    quadrature_moments,
     quadrature_report,
 )
 
@@ -60,9 +62,13 @@ def _deficit(f: float) -> float:
     return max(0.0, 1.0 - f)
 
 
-def _pinned(cfg: dict, name: str, default):
-    """The pinned value of `name`, zero included; `default` when unpinned."""
+def _pinned(cfg: dict, name: str, default, low: float = 0.0, high: float = np.inf):
+    """The pinned value of `name` (zero included), `default` when unpinned; a
+    magnitude outside [low, high], where the suite's closed forms leave float
+    range, is refused by its flag."""
     value = cfg.get(name)
+    if value is not None and not low <= abs(value) <= high:
+        raise ValueError(f"--{name} {value:g} is out of the range {low:g} <= |{name}| <= {high:g}")
     return default if value is None else value
 
 
@@ -101,16 +107,17 @@ def suite_ho_algebra(cfg) -> list[Check]:
     )
     checks.append(Check("hermiticity of x, p, N", float(herm), 1e-14))
 
-    # uncertainty floor over random states supported away from the edge
+    # uncertainty floor over random states supported away from the edge, one
+    # per column, each drawn as its real part then its imaginary part
     rng = np.random.default_rng(20240817)
     support = max(2, int(dim * 0.6))
-    worst = np.inf
-    for _ in range(1000):
-        amps = np.zeros(dim, dtype=complex)
-        raw = rng.standard_normal(support) + 1j * rng.standard_normal(support)
-        amps[:support] = raw / np.linalg.norm(raw)
-        rep = quadrature_report(FockState(amps))
-        worst = min(worst, rep.product)
+    raw = rng.standard_normal((1000, 2, support))
+    raw = raw[:, 0] + 1j * raw[:, 1]
+    amps = np.zeros((dim, 1000), dtype=complex)
+    amps[:support] = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
+    moments = ladder_moments(amps, np.sqrt(np.arange(dim)), batch=True)
+    _, _, var_x, var_p = quadrature_moments(moments)
+    worst = float((var_x * var_p).min())
     checks.append(Check("uncertainty floor, 1000 random states", _violation(worst, 0.25), 1e-9))
 
     xa = 1j * np.pi * x[:16, :16]
@@ -124,7 +131,7 @@ def suite_ho_algebra(cfg) -> list[Check]:
 def suite_coherent(cfg) -> list[Check]:
     dim = _pinned(cfg, "dim", 64)
     alphas = [0.5, 1 + 1j, 2.0, 3.0]
-    extra = cfg.get("alpha")
+    extra = _pinned(cfg, "alpha", None, high=1e150)  # |alpha|^2
     if extra is not None and extra not in alphas:
         alphas.append(extra)
     checks = []
@@ -163,7 +170,7 @@ def suite_coherent(cfg) -> list[Check]:
 
 def suite_time_evolution(cfg) -> list[Check]:
     dim = _pinned(cfg, "dim", 64)
-    alpha0 = _pinned(cfg, "alpha", 2.0)
+    alpha0 = _pinned(cfg, "alpha", 2.0, high=1e300)  # the trajectory's second difference
     a, adag = build_ladder(dim)
     h = adag @ a + 0.5 * np.eye(dim)
     base = co.coherent_ladder(co.CoherentSpec(alpha0, dim))
@@ -332,7 +339,7 @@ def suite_single_squeeze(cfg) -> list[Check]:
 
 
 def suite_two_squeeze(cfg) -> list[Check]:
-    theta = _pinned(cfg, "theta", 0.5)
+    theta = _pinned(cfg, "theta", 0.5, high=100.0)  # sinh^2(2 theta)
     dim = _pinned(cfg, "dim", 40)
     checks = []
     # a pinned dim truncates the theta state only, not the s = 1 pair vacuum
@@ -386,7 +393,7 @@ def suite_factorization(cfg) -> list[Check]:
 
 
 def suite_sqm(cfg) -> list[Check]:
-    lam = _pinned(cfg, "lam", 1.0)
+    lam = _pinned(cfg, "lam", 1.0, 1e-100, 1e150)  # lam (lam + 1) and phi^2 at the pole
     checks = []
     worst_ortho = 0.0
     for l in (-2.0, lam, 5.0):

@@ -223,6 +223,10 @@ for argv in (
     ["verify", "--suite", "coherent"],
     ["verify", "--suite", "time-evolution"],
     ["verify", "--suite", "pair"],
+    ["verify", "--suite", "ho-algebra"],
+    ["verify", "--suite", "single-squeeze"],
+    ["verify", "--suite", "two-squeeze"],
+    ["verify", "--suite", "phase"],
 ):
     assert main(argv + ["--out", sys.argv[1]]) == 0, argv
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
@@ -231,6 +235,26 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("coherent", "--alpha", "1e200"),
+        ("sqm", "--lam", "1e-300"),
+        ("two-squeeze", "--theta", "1e3"),
+    ],
+)
+def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_path):
+    # one error line and no numpy warning: the range is checked before the suite runs
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockbench.cli", "verify", "--suite", suite, flag, value,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
 
 
 def test_precondition_violation_exits_two(capsys):
@@ -353,6 +377,18 @@ def test_wavefunction_csv(capsys):
     data = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
     dx = data[1, 0] - data[0, 0]
     assert abs(np.sum(data[:, 3]) * dx - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--points", "11", "--x-min", "-1e308"], ["--x-min", "-1e308", "--x-max", "1e308"]],
+    ids=["coarse", "overflowing"],
+)
+def test_squeezed_wavefunction_rejects_an_unresolving_grid(grid, capsys):
+    assert run_cli("wavefunction", "--family", "squeezed", "--s", "1", *grid) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "grid" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_wavefunction_modal_family(capsys):

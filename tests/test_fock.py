@@ -12,12 +12,15 @@ from fockbench.fock import (
     build_quadratures,
     fock_basis_state,
     ladder_exp_action,
+    ladder_moments,
+    ladder_nilpotent_exp,
     matrix_exponential,
     max_abs_interior,
     number_operator,
     quadrature_report,
 )
-from fockbench.squeezing import SqueezeSpec, squeezed_vacuum_closed_form
+from fockbench.coherent import CoherentSpec, coherent_ladder
+from fockbench.squeezing import SqueezeSpec, squeezed_vacuum, squeezed_vacuum_closed_form
 
 
 def taylor_expm(M: np.ndarray) -> np.ndarray:
@@ -37,6 +40,19 @@ def taylor_expm(M: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def nilpotent_series(m: np.ndarray) -> np.ndarray:
+    """Independent reference: exp(m) of a strictly triangular m by its
+    finite matrix-power series."""
+    out = np.eye(m.shape[0], dtype=complex)
+    term = np.eye(m.shape[0], dtype=complex)
+    for k in range(1, m.shape[0]):
+        term = term @ m / k
+        if not term.any():
+            break
+        out += term
+    return out
 
 
 @pytest.mark.parametrize("dim", [8, 16, 32, 64])
@@ -90,6 +106,48 @@ def test_uncertainty_floor_random_states():
         rep = quadrature_report(FockState(amps))
         worst = min(worst, rep.product)
     assert worst >= 0.25 - 1e-9
+
+
+def test_batched_moments_match_a_per_column_loop():
+    rng = np.random.default_rng(77)
+    states = rng.standard_normal((24, 9)) + 1j * rng.standard_normal((24, 9))
+    for weights in (np.sqrt(np.arange(24.0)), np.arange(24.0)):
+        batched = ladder_moments(states, weights, batch=True)
+        for j in range(states.shape[1]):
+            for got, want in zip(batched, ladder_moments(states[:, j], weights)):
+                assert abs(got[j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+# (mean_x, mean_p, var_x, var_p, product, mean_n, var_n) as the per-state
+# vdot moments gave them; the batch axis must leave 1-d reports bit for bit
+STORED_REPORTS = {
+    "coherent": (1.4142135623642895, 0.7071067811821444, 0.49999999990659294,
+                 0.5000000000093409, 0.2499999999579669, 1.2499999999922164,
+                 1.2499999998851898),
+    "squeezed": (0.0, 0.0, 1.6263495210460408, 0.1843060446329754, 0.29974604741472977,
+                 0.405327782839508, 1.1392367394786942),
+    "random": (-0.04853987933991173, -0.09384064358859573, 11.202577004477483,
+               10.114796082059877, 113.31178199386292, 10.164267636406407,
+               23.73161615003127),
+    "number": (0.0, 0.0, 3.5, 3.5, 12.25, 2.9999999999999996, 1.7763568394002505e-15),
+}
+
+
+def test_quadrature_report_is_bitwise_stable():
+    rng = np.random.default_rng(1207)
+    raw = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    amps = np.zeros(24, dtype=complex)
+    amps[:20] = raw / np.linalg.norm(raw)
+    states = {
+        "coherent": coherent_ladder(CoherentSpec(1 + 0.5j, 16)),
+        "squeezed": squeezed_vacuum(SqueezeSpec(0.6, 0.3, 32)),
+        "random": FockState(amps),
+        "number": fock_basis_state(8, 3),
+    }
+    for name, state in states.items():
+        rep = quadrature_report(state)
+        got = (rep.mean_x, rep.mean_p, rep.var_x, rep.var_p, rep.product, rep.mean_n, rep.var_n)
+        assert got == STORED_REPORTS[name], name
 
 
 def _dense_report(amps: np.ndarray) -> dict:
@@ -215,6 +273,22 @@ def test_ladder_exp_action_matches_dense_exponential(case):
     dense = scipy.linalg.expm(alpha * lower.T - np.conj(alpha) * lower) @ v
     got = ladder_exp_action(weights, step, alpha, v)
     assert np.abs(got - dense).max() <= 1e-13 * max(1.0, np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("g", [0.0, 0.35, -1.2, 0.4 - 0.9j])
+@pytest.mark.parametrize("dim", [2, 3, 17, 64, 96])
+def test_nilpotent_exp_matches_the_matrix_power_series(dim, step, g):
+    ns = np.arange(dim, dtype=float)
+    weights = np.sqrt(ns) if step == 1 else np.sqrt(ns * (ns - 1.0))
+    lowering = np.zeros((dim, dim))
+    cols = np.arange(step, dim)
+    lowering[cols - step, cols] = weights[step:]
+    want = nilpotent_series(g * lowering)
+    got = ladder_nilpotent_exp(weights, step, g)
+    assert np.array_equal(got == 0, want == 0)
+    nonzero = want != 0
+    assert np.all(np.abs(got - want)[nonzero] <= 1e-14 * np.abs(want[nonzero]))
 
 
 def test_ladder_exp_action_at_zero_alpha_returns_v():

@@ -189,3 +189,6 @@ def test_squeezed_wavefunction_width():
         assert abs(var - s * s / 2.0) <= 1e-8
     with pytest.raises(ValueError):
         squeezed_wavefunction(-1.0, 0.0, 0.0, xs)
+    # a step of 0.01 does not resolve a width below 0.005
+    with pytest.raises(ValueError, match="steps of at most 2s"):
+        squeezed_wavefunction(0.004, 0.0, 0.0, xs)

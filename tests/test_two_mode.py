@@ -5,7 +5,6 @@ import pytest
 
 from fockbench.fock import TwoModeState, matrix_exponential
 from fockbench.squeezing import (
-    _nilpotent_exp_matrix,
     disentangle_identity_residual,
     generalized_condition_solution,
     lambda_mode_factorization,
@@ -168,6 +167,18 @@ def test_charge_sectors_reassemble_dense_generators(dims):
     assert np.array_equal(k0, (n1_all + n2_all + 1.0) / 2.0)
 
 
+def _nilpotent_series(m: np.ndarray) -> np.ndarray:
+    """exp(m) of a strictly triangular m by its finite matrix-power series."""
+    out = np.eye(m.shape[0], dtype=complex)
+    term = np.eye(m.shape[0], dtype=complex)
+    for k in range(1, m.shape[0]):
+        term = term @ m / k
+        if not term.any():
+            break
+        out += term
+    return out
+
+
 def _dense_identity_residual(zeta0, zeta_plus, zeta_minus, dims):
     """The splitting residual on the whole two-mode space, without sectors."""
     da, db = dims
@@ -181,9 +192,9 @@ def _dense_identity_residual(zeta0, zeta_plus, zeta_minus, dims):
         zeta0 * np.diag(k0_diag) + zeta_plus * pair_up + zeta_minus * pair_down
     )
     rhs = (
-        _nilpotent_exp_matrix(coeffs.gamma_plus * pair_up)
+        _nilpotent_series(coeffs.gamma_plus * pair_up)
         @ np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
-        @ _nilpotent_exp_matrix(coeffs.gamma_minus * pair_down)
+        @ _nilpotent_series(coeffs.gamma_minus * pair_down)
     )
     idx = np.flatnonzero((n1 < da // 3) & (n2 < db // 3))
     return float(np.abs(lhs[np.ix_(idx, idx)] - rhs[np.ix_(idx, idx)]).max())
