@@ -352,12 +352,17 @@ def _coherent_profile(args, grid):
 
 
 def _squeezed_profile(args, grid):
-    p = _require(args, ("s",))
+    s = _require(args, ("s",))["s"]
+    if not 0.0 < s <= 1e150:  # (x - x0)^2 over [x0 - 8s, x0 + 8s] stays in float range
+        raise UsageError(f"--s {s:g} is out of the range 0 < s <= 1e150")
     alpha = args.alpha or 0j
     x0 = math.sqrt(2.0) * alpha.real
     p0 = math.sqrt(2.0) * alpha.imag
-    half = max(10.0, 8.0 * p["s"] + 2.0)
-    return sq.squeezed_wavefunction(p["s"], x0, p0, grid(x0, half))
+    xs = grid(x0, max(10.0, 8.0 * s + 2.0))
+    dx = float(xs[1] - xs[0])
+    if dx * abs(p0) > math.pi:
+        raise UsageError(f"--alpha {alpha}: momentum {p0:g} aliases on grid steps of {dx:g}")
+    return sq.squeezed_wavefunction(s, x0, p0, xs)
 
 
 def _lambda_coherent_state(p, dim):

@@ -14,10 +14,9 @@ import numpy as np
 from .fock import (
     FockState,
     GridWavefunction,
-    build_ladder,
+    ladder_exp_dense,
     log_gamma,
     log_series,
-    matrix_exponential,
 )
 
 __all__ = [
@@ -56,8 +55,7 @@ def coherent_ladder(spec: CoherentSpec) -> FockState:
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
-    a, adag = build_ladder(dim)
-    return matrix_exponential(alpha * adag - np.conj(alpha) * a)
+    return ladder_exp_dense(np.sqrt(np.arange(dim, dtype=float)), 1, alpha)
 
 
 def coherent_wavefunction(alpha: complex, xs: np.ndarray) -> GridWavefunction:

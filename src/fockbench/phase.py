@@ -88,8 +88,6 @@ def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
 
 def build_R_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Number-weighted shifts R+|n> = (n+1)|n+1>, R-|n> = n|n-1>."""
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
     ops = build_phase_set(dim)
     n_op = number_operator(dim)
     return n_op @ ops.gamma_plus, ops.gamma_minus @ n_op

@@ -102,21 +102,20 @@ def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunctio
 
     chi_0 carries the closed-form prefactor sqrt(lam(lam+1)); higher
     levels get the correction phi * (d/dx + W) psi_n / (2n), with the
-    derivative taken by the centered 3-point stencil.
+    derivative taken by the centered 3-point stencil; all levels form one
+    array, each row normalized as by `GridWavefunction.normalized`.
     """
     if n_levels > MAX_LEVELS:
         raise ValueError("grid accuracy budget covers at most 12 levels")
-    xs, dx = family.xs, family.dx
+    xs, dx, lam = family.xs, family.dx, family.lam
     psis = hermite_levels(xs, n_levels)
-    lam = family.lam
-    states: list[GridWavefunction] = []
-    chi0 = np.sqrt(lam * (lam + 1.0)) * family.psi0 / (lam + family.cumulative)
-    states.append(GridWavefunction(xs[0], dx, chi0).normalized())
-    for n in range(1, n_levels):
-        dpsi = np.gradient(psis[n], dx, edge_order=2)
-        correction = family.phi_lambda * (dpsi + family.W * psis[n]) / (2.0 * n)
-        states.append(GridWavefunction(xs[0], dx, psis[n] + correction).normalized())
-    return states
+    dpsis = np.gradient(psis, dx, axis=1, edge_order=2)
+    ns = np.arange(1, n_levels, dtype=float)[:, None]
+    values = np.empty((n_levels, xs.size), dtype=complex)
+    values[0] = np.sqrt(lam * (lam + 1.0)) * family.psi0 / (lam + family.cumulative)
+    values[1:] = psis[1:] + family.phi_lambda * (dpsis[1:] + family.W * psis[1:]) / (2.0 * ns)
+    values /= np.sqrt(np.sum(np.abs(values) ** 2, axis=1) * dx)[:, None]
+    return [GridWavefunction(xs[0], dx, row) for row in values]
 
 
 def deformed_potential(family: IsospectralFamily) -> np.ndarray:
@@ -131,26 +130,17 @@ def deformed_potential(family: IsospectralFamily) -> np.ndarray:
     return 0.5 * (w_hat * w_hat - w_hat_prime) + family.E0
 
 
-def spectral_check(family: IsospectralFamily, n_levels: int) -> tuple[list[float], list[float]]:
-    """Low part of the deformed spectrum against n + 1/2.
-
-    Returns (eigenvalue residuals, eigenvector fidelities vs chi_n).
-    """
+def spectral_check(family: IsospectralFamily, n_levels: int) -> list[float]:
+    """Residuals of the low deformed spectrum against n + 1/2, from the
+    eigenvalues alone of the finite-difference Hamiltonian."""
     from scipy.linalg import eigh_tridiagonal
 
-    xs, dx = family.xs, family.dx
-    v = deformed_potential(family)
-    diag = 1.0 / (dx * dx) + v
-    off = np.full(xs.size - 1, -0.5 / (dx * dx))
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
-    chis = chi_states(family, n_levels)
-    residuals = [float(abs(vals[n] - (n + 0.5))) for n in range(n_levels)]
-    fidelities = []
-    for n in range(n_levels):
-        grid_vec = vecs[:, n] / np.sqrt(dx)
-        overlap = np.sum(grid_vec * chis[n].values.real) * dx
-        fidelities.append(float(overlap ** 2))
-    return residuals, fidelities
+    dx = family.dx
+    diag = 1.0 / (dx * dx) + deformed_potential(family)
+    off = np.full(family.xs.size - 1, -0.5 / (dx * dx))
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, n_levels - 1))
+    return [float(abs(vals[n] - (n + 0.5))) for n in range(n_levels)]
 
 
 # ------------------------------------------------------------- modal states

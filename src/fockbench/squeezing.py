@@ -25,6 +25,7 @@ from .fock import (
     build_ladder,
     fock_basis_state,
     ladder_exp_action,
+    ladder_exp_dense,
     ladder_moments,
     ladder_nilpotent_exp,
     log_gamma,
@@ -105,8 +106,6 @@ class DisentangleCoeffs:
 
 @dataclass(frozen=True)
 class GeneralizedFactorSolution:
-    phi_part: GridWavefunction
-    chi_part: GridWavefunction
     phi_normalizable: bool
     chi_normalizable: bool
     pde_residual: float
@@ -116,13 +115,9 @@ class GeneralizedFactorSolution:
 
 
 def squeeze_operator(spec: SqueezeSpec) -> np.ndarray:
-    """Dense exp((xi a+^2 - xi* a^2)/2).  The generator couples n only to
-    n +- 2, so its even and odd blocks are exponentiated apart."""
-    a, adag = build_ladder(spec.dim)
-    out = (spec.xi * adag @ adag - np.conj(spec.xi) * a @ a) / 2.0
-    for c in (0, 1):  # no entry couples the two parities
-        out[c::2, c::2] = matrix_exponential(out[c::2, c::2])
-    return out
+    """Dense exp((xi a+^2 - xi* a^2)/2) by the Pade route."""
+    ns = np.arange(spec.dim, dtype=float)
+    return ladder_exp_dense(np.sqrt(ns * (ns - 1.0)), 2, spec.xi / 2.0)
 
 
 def squeeze_action(xi: complex, v: np.ndarray) -> np.ndarray:
@@ -373,11 +368,10 @@ def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[floa
 
     Builds L+- = (a1 +- i a2)/sqrt2, checks their boson algebra, then
     compares exp((i/2)(L+^2+ - L-^2+) tanh T)|0,0> against the geometric
-    pair expansion.  Returns (commutator defect, vacuum annihilation
-    defect, 1 - fidelity).
+    pair expansion; that generator is a1+ a2+ tanh T, which is nilpotent.
+    Returns (commutator defect, vacuum annihilation defect, 1 - fidelity).
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
 
     da, db = dims
     a1, a2 = ladders_sparse(da, db)
@@ -409,11 +403,23 @@ def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[floa
     up = lam_p.conj().T
     dn = lam_m.conj().T
     gen = (1j / 2.0) * (up @ up - dn @ dn) * np.tanh(Theta)
-    built = expm_multiply(gen.tocsc(), vac)
+    built = _nilpotent_action(gen, vac)
     built = built / np.linalg.norm(built)
     target = two_mode_theta_vacuum(Theta, dims)
     deficit = 1.0 - abs(np.vdot(built, target.ravel())) ** 2
     return comm, annih, float(deficit)
+
+
+def _nilpotent_action(gen, v: np.ndarray) -> np.ndarray:
+    """exp(gen) v for a nilpotent gen: the Taylor series up to its first
+    vanishing term, which comes after at most len(v) products."""
+    out = term = v
+    for k in range(1, v.size + 1):
+        term = gen @ term / k
+        if not term.any():
+            break
+        out = out + term
+    return out
 
 
 # ------------------------------------------------- generalized condition
@@ -464,20 +470,15 @@ def generalized_condition_solution(
     i2 = np.arange(1, x2.size - 1, stride2)
     s_x1, s_phi, s_dphi = x1[i1], phi[i1], dphi[i1]
     s_x2, s_chi, s_dchi = x2[i2], chi[i2], dchi[i2]
-    res = (
-        mu * np.outer(s_dphi + s_x1 * s_phi, s_chi)
-        - mu * np.outer(s_phi, s_x2 * s_chi)
-        + nu * np.outer(s_x1 * s_phi, s_chi)
-        + nu * np.outer(s_phi, s_x2 * s_chi)
-        - nu * np.outer(s_phi, s_dchi)
-    )
-    residual = float(np.abs(res).max())
+    # mu (d/dx1 + x1 - x2) + nu (x1 + x2 - d/dx2) applied to phi(x1) chi(x2):
+    # two outer products, summed by one (256 x 2) @ (2 x 256) product
+    left = np.stack((mu * s_dphi + (mu + nu) * s_x1 * s_phi, s_phi), axis=1)
+    res = left @ np.stack((s_chi, (nu - mu) * s_x2 * s_chi - nu * s_dchi))
+    residual = float(max(res.max(), -res.min()))
 
     phi_norm = -(mu + nu) / (2.0 * mu) < 0
     chi_norm = -(mu - nu) / (2.0 * nu) < 0
     return GeneralizedFactorSolution(
-        phi_part=GridWavefunction(float(x1[0]), float(h1), phi),
-        chi_part=GridWavefunction(float(x2[0]), float(h2), chi),
         phi_normalizable=bool(phi_norm),
         chi_normalizable=bool(chi_norm),
         pde_residual=residual,

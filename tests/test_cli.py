@@ -257,6 +257,74 @@ def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_pat
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
 
 
+@pytest.mark.parametrize(
+    "suite, dim, code",
+    [
+        ("single-squeeze", "2", 2),
+        ("phase", "3", 2),
+        ("phase", "11", 2),
+        # at its minimum a suite runs, and a truncated state fails a check
+        ("single-squeeze", "3", 1),
+        ("phase", "12", 1),
+    ],
+)
+def test_pinned_dim_below_a_suite_minimum_is_named(suite, dim, code, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockbench.cli", "verify", "--suite", suite, "--dim", dim,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    lines = [l for l in proc.stderr.splitlines() if not l.startswith("# suite ")]
+    if code == 2:
+        minimum = {"single-squeeze": 3, "phase": 12}[suite]
+        assert len(lines) == 1 and lines[0].startswith(f"error: --dim {dim} ")
+        assert f"{minimum} <= |dim|" in lines[0]
+    else:
+        assert lines and all(l.startswith("# FAIL ") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--s", "1e200"], "--s"), (["--s", "1", "--alpha", "1e100j"], "--alpha")],
+    ids=["huge-width", "aliased-momentum"],
+)
+def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_path):
+    # one error line that names the flag, and no numpy warning before it
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockbench.cli", "wavefunction", "--family", "squeezed", *argv,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_squeezed_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
+    # dx = 0.01 on the default grid: |p0| = sqrt2 |Im alpha| may reach pi / dx
+    argv = ["wavefunction", "--family", "squeezed", "--s", "1", "--points", "2001"]
+    assert run_cli(*argv, "--alpha", "222j") == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--alpha", "223j") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha ") and "grid" in err
+
+
+def test_factorization_suite_loads_no_sparse_linalg(tmp_path):
+    code = """
+import sys
+from fockbench.cli import main
+assert main(["verify", "--suite", "factorization", "--out", sys.argv[1]]) == 0
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_precondition_violation_exits_two(capsys):
     # modal tail cannot fit twelve levels at this displacement
     assert run_cli("state", "--family", "lambda-coherent", "--lam", "1",

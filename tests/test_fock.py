@@ -12,6 +12,7 @@ from fockbench.fock import (
     build_quadratures,
     fock_basis_state,
     ladder_exp_action,
+    ladder_exp_dense,
     ladder_moments,
     ladder_nilpotent_exp,
     matrix_exponential,
@@ -205,6 +206,39 @@ def test_matrix_exponential_against_taylor_reference():
         assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-10
 
 
+def test_matrix_exponential_keeps_a_real_input_real():
+    rng = np.random.default_rng(7)
+    for dim in (6, 12, 20):
+        M = 3.0 * rng.standard_normal((dim, dim))
+        ref = taylor_expm(M)
+        got = matrix_exponential(M)
+        assert got.dtype == np.float64
+        assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-10
+
+
+def _ladder_generator(weights: np.ndarray, step: int, alpha: complex) -> np.ndarray:
+    """alpha L+ - alpha* L for L|n> = weights[n]|n-step>, as a complex matrix."""
+    dim = weights.size
+    lowering = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(step, dim)
+    lowering[cols - step, cols] = weights[step:]
+    return alpha * lowering.T - np.conj(alpha) * lowering
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6, -0.45, 0.5 + 0.3j, -0.2 - 0.65j, 0.7j])
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 5, 17, 64, 96])
+def test_ladder_exp_dense_matches_the_complex_generator(dim, step, alpha):
+    ns = np.arange(dim, dtype=float)
+    weights = np.sqrt(ns) if step == 1 else np.sqrt(ns * (ns - 1.0))
+    want = matrix_exponential(_ladder_generator(weights, step, alpha))
+    got = ladder_exp_dense(weights, step, alpha)
+    assert got.dtype == complex
+    assert np.abs(got - want).max() <= 1e-12
+    if alpha == 0:
+        assert np.array_equal(got, np.eye(dim))
+
+
 def test_matrix_exponential_group_law_commuting():
     x, _ = build_quadratures(16)
     A = 0.7j * x
@@ -275,12 +309,12 @@ def test_ladder_exp_action_matches_dense_exponential(case):
     assert np.abs(got - dense).max() <= 1e-13 * max(1.0, np.linalg.norm(v))
 
 
-@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("step", [1, 2, 3])
 @pytest.mark.parametrize("g", [0.0, 0.35, -1.2, 0.4 - 0.9j])
-@pytest.mark.parametrize("dim", [2, 3, 17, 64, 96])
+@pytest.mark.parametrize("dim", [1, 2, 3, 17, 64, 96])
 def test_nilpotent_exp_matches_the_matrix_power_series(dim, step, g):
     ns = np.arange(dim, dtype=float)
-    weights = np.sqrt(ns) if step == 1 else np.sqrt(ns * (ns - 1.0))
+    weights = {1: np.sqrt(ns), 2: np.sqrt(ns * (ns - 1.0)), 3: ns}[step]
     lowering = np.zeros((dim, dim))
     cols = np.arange(step, dim)
     lowering[cols - step, cols] = weights[step:]

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import eigh_tridiagonal
 
-from fockbench.fock import FockState, quadrature_report
+from fockbench.fock import FockState, GridWavefunction, quadrature_report
 from fockbench.sqm import (
     MAX_LEVELS,
     build_family,
@@ -56,9 +57,38 @@ def test_level_cap_enforced():
 @pytest.mark.parametrize("lam", [-2.0, 1.0, 5.0])
 def test_deformed_potential_keeps_the_spectrum(lam):
     fam = build_family(lam)
-    residuals, fidelities = spectral_check(fam, 6)
-    assert max(residuals) <= 1e-3
+    assert max(spectral_check(fam, 6)) <= 1e-3
+    # the eigenvectors of the finite-difference Hamiltonian are the chi_n
+    dx = fam.dx
+    _, vecs = eigh_tridiagonal(
+        1.0 / (dx * dx) + deformed_potential(fam),
+        np.full(fam.xs.size - 1, -0.5 / (dx * dx)),
+        select="i",
+        select_range=(0, 5),
+    )
+    chis = chi_states(fam, 6)
+    fidelities = [(np.sum(vecs[:, n] * chis[n].values.real) / np.sqrt(dx) * dx) ** 2
+                  for n in range(6)]
     assert min(fidelities) >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("lam", [-2.0, 1.0, 5.0, 1e6])
+@pytest.mark.parametrize("n_levels", [1, 2, 6, MAX_LEVELS])
+def test_batched_chi_states_equal_a_per_level_loop(lam, n_levels):
+    fam = build_family(lam)
+    dx = fam.dx
+    psis = hermite_levels(fam.xs, n_levels)
+    chi0 = np.sqrt(lam * (lam + 1.0)) * fam.psi0 / (lam + fam.cumulative)
+    want = [GridWavefunction(fam.xs[0], dx, chi0).normalized()]
+    for n in range(1, n_levels):
+        dpsi = np.gradient(psis[n], dx, edge_order=2)
+        correction = fam.phi_lambda * (dpsi + fam.W * psis[n]) / (2.0 * n)
+        want.append(GridWavefunction(fam.xs[0], dx, psis[n] + correction).normalized())
+    got = chi_states(fam, n_levels)
+    assert len(got) == n_levels
+    for g, w in zip(got, want):
+        assert (g.x_min, g.dx) == (w.x_min, w.dx)
+        assert np.array_equal(g.values, w.values)
 
 
 def test_potential_differs_then_converges():

@@ -5,6 +5,7 @@ import pytest
 
 from fockbench.fock import TwoModeState, matrix_exponential
 from fockbench.squeezing import (
+    _nilpotent_action,
     disentangle_identity_residual,
     generalized_condition_solution,
     lambda_mode_factorization,
@@ -222,6 +223,23 @@ def test_rotated_mode_factorization(theta):
     assert comm <= 1e-10
     assert annih <= 1e-12
     assert deficit <= 1e-7
+
+
+# at tanh T = 0.76 (T = 1) and dims (40, 40) expm_multiply itself is 1.7e-11
+# off the exact top amplitude tanh^39 T, which the series meets
+@pytest.mark.parametrize("dims", [(2, 2), (5, 9), (40, 40)])
+@pytest.mark.parametrize("theta", [0.2, 0.5])
+def test_rotated_mode_series_matches_expm_multiply(theta, dims):
+    from scipy.sparse.linalg import expm_multiply
+
+    a1, a2 = ladders_sparse(*dims)
+    up = ((a1 + 1j * a2) / np.sqrt(2.0)).conj().T
+    dn = ((a1 - 1j * a2) / np.sqrt(2.0)).conj().T
+    gen = (1j / 2.0) * (up @ up - dn @ dn) * np.tanh(theta)
+    vac = np.zeros(dims[0] * dims[1], dtype=complex)
+    vac[0] = 1.0
+    want = expm_multiply(gen.tocsc(), vac)
+    assert np.abs(_nilpotent_action(gen, vac) - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("theta,c", [(0.1, 0.0), (0.1, 1.0), (0.5, 0.0), (0.5, 1.0)])
