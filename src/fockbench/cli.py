@@ -346,22 +346,40 @@ def _sweep_two_mode(value: float, args) -> list:
     ]
 
 
+def _check_profile_grid(xs: np.ndarray, s: float, p0: float, alpha: complex) -> None:
+    """Refuse a grid that does not resolve a Gaussian profile of width s and
+    momentum p0: steps of at most 2s resolve the width, and dx |p0| <= pi
+    the momentum (Nyquist)."""
+    dx = float(xs[1] - xs[0])
+    if not dx <= 2.0 * s:
+        raise UsageError(
+            f"--points {xs.size}: grid steps of {dx:g} over [{xs[0]:g}, {xs[-1]:g}] "
+            f"exceed 2s = {2.0 * s:g}"
+        )
+    if dx * abs(p0) > math.pi:
+        raise UsageError(f"--alpha {alpha}: momentum {p0:g} aliases on grid steps of {dx:g}")
+
+
 def _coherent_profile(args, grid):
-    p = _require(args, ("alpha",))
-    return co.coherent_wavefunction(p["alpha"], grid(math.sqrt(2.0) * p["alpha"].real, 12.0))
+    alpha = _require(args, ("alpha",))["alpha"]
+    xs = grid(math.sqrt(2.0) * alpha.real, 12.0)
+    _check_profile_grid(xs, 1.0, math.sqrt(2.0) * alpha.imag, alpha)
+    # the exponent adds terms of size |alpha|^2: its roundoff, about
+    # 4 eps |alpha|^2, stays below 1e-7 here and overflows exp near 2e9
+    if not abs(alpha) <= 1e4:
+        raise UsageError(f"--alpha {alpha}: out of the range |alpha| <= 1e4")
+    return co.coherent_wavefunction(alpha, xs)
 
 
 def _squeezed_profile(args, grid):
     s = _require(args, ("s",))["s"]
-    if not 0.0 < s <= 1e150:  # (x - x0)^2 over [x0 - 8s, x0 + 8s] stays in float range
-        raise UsageError(f"--s {s:g} is out of the range 0 < s <= 1e150")
+    if not 1e-150 <= s <= 1e150:  # s^2 and (x - x0)^2 over [x0 - 8s, x0 + 8s] stay normal
+        raise UsageError(f"--s {s:g} is out of the range 1e-150 <= s <= 1e150")
     alpha = args.alpha or 0j
     x0 = math.sqrt(2.0) * alpha.real
     p0 = math.sqrt(2.0) * alpha.imag
     xs = grid(x0, max(10.0, 8.0 * s + 2.0))
-    dx = float(xs[1] - xs[0])
-    if dx * abs(p0) > math.pi:
-        raise UsageError(f"--alpha {alpha}: momentum {p0:g} aliases on grid steps of {dx:g}")
+    _check_profile_grid(xs, s, p0, alpha)
     return sq.squeezed_wavefunction(s, x0, p0, xs)
 
 
@@ -627,9 +645,15 @@ def run_wavefunction(args: argparse.Namespace) -> int:
     def grid(center, half):
         lo = args.x_min if args.x_min is not None else center - half
         hi = args.x_max if args.x_max is not None else center + half
-        if not 0.0 < hi - lo < math.inf:
-            raise UsageError("x-max must exceed x-min by a grid span within the float range")
-        return np.linspace(lo, hi, points)
+        if 0.0 < hi - lo < math.inf:
+            # linspace forms k (hi - lo) / (points - 1), which can round past
+            # the float range for a span near it
+            with np.errstate(over="raise"):
+                try:
+                    return np.linspace(lo, hi, points)
+                except FloatingPointError:
+                    pass
+        raise UsageError("x-max must exceed x-min by a grid span within the float range")
 
     profile = FAMILIES[args.family].profile
     if profile is None:

@@ -103,7 +103,9 @@ def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunctio
     chi_0 carries the closed-form prefactor sqrt(lam(lam+1)); higher
     levels get the correction phi * (d/dx + W) psi_n / (2n), with the
     derivative taken by the centered 3-point stencil; all levels form one
-    array, each row normalized as by `GridWavefunction.normalized`.
+    real array, each row normalized as by `GridWavefunction.normalized`
+    (a complex row divided by its real norm is multiplied by the
+    reciprocal, so the rows equal the complex route bit for bit).
     """
     if n_levels > MAX_LEVELS:
         raise ValueError("grid accuracy budget covers at most 12 levels")
@@ -111,10 +113,10 @@ def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunctio
     psis = hermite_levels(xs, n_levels)
     dpsis = np.gradient(psis, dx, axis=1, edge_order=2)
     ns = np.arange(1, n_levels, dtype=float)[:, None]
-    values = np.empty((n_levels, xs.size), dtype=complex)
+    values = np.empty((n_levels, xs.size))
     values[0] = np.sqrt(lam * (lam + 1.0)) * family.psi0 / (lam + family.cumulative)
     values[1:] = psis[1:] + family.phi_lambda * (dpsis[1:] + family.W * psis[1:]) / (2.0 * ns)
-    values /= np.sqrt(np.sum(np.abs(values) ** 2, axis=1) * dx)[:, None]
+    values *= 1.0 / np.sqrt(np.sum(np.abs(values) ** 2, axis=1) * dx)[:, None]
     return [GridWavefunction(xs[0], dx, row) for row in values]
 
 
@@ -132,14 +134,34 @@ def deformed_potential(family: IsospectralFamily) -> np.ndarray:
 
 def spectral_check(family: IsospectralFamily, n_levels: int) -> list[float]:
     """Residuals of the low deformed spectrum against n + 1/2, from the
-    eigenvalues alone of the finite-difference Hamiltonian."""
-    from scipy.linalg import eigh_tridiagonal
+    finite-difference Hamiltonian T, tridiagonal on the grid.
+
+    LAPACK's locate-and-refine pair (as behind dstevx): bisection (stebz)
+    brackets eigenvalues 1 .. n_levels in intervals 1e-2 wide, which
+    certifies their indices since the levels lie about 1 apart; inverse
+    iteration (stein) then gives each eigenvector v, and the eigenvalue is
+    the Rayleigh quotient v^T T v, applied in O(n).  A tolerance coarser
+    than 1e-2 leaves more than roundoff in the quotient.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
 
     dx = family.dx
     diag = 1.0 / (dx * dx) + deformed_potential(family)
     off = np.full(family.xs.size - 1, -0.5 / (dx * dx))
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(0, n_levels - 1))
+    tol = 1e-2
+    found, approx, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, n_levels, tol, "B")
+    if info or found < n_levels:
+        raise ArithmeticError(f"bisection located {found} of {n_levels} levels (info {info})")
+    approx = approx[:n_levels]
+    vecs, info = dstein(diag, off, approx, iblock, isplit)
+    if info:
+        raise ArithmeticError(f"inverse iteration did not converge (info {info})")
+    t_vecs = diag[:, None] * vecs
+    t_vecs[:-1] += off[:, None] * vecs[1:]
+    t_vecs[1:] += off[:, None] * vecs[:-1]
+    vals = np.einsum("ij,ij->j", vecs, t_vecs)
+    if np.any(np.abs(vals - approx) > tol):
+        raise ArithmeticError("a refined level left its bisection interval")
     return [float(abs(vals[n] - (n + 0.5))) for n in range(n_levels)]
 
 

@@ -33,7 +33,15 @@ from .fock import (
     matrix_exponential,
     quadrature_moments,
 )
-from .twomode import charge_sectors, ladders_sparse, number_diagonals, pair_ladder
+from .twomode import (
+    band_adjoint,
+    band_apply,
+    band_product,
+    charge_sectors,
+    ladders_banded,
+    number_diagonals,
+    pair_ladder,
+)
 
 __all__ = [
     "SqueezeSpec",
@@ -253,30 +261,32 @@ def disentangle_identity_residual(
     The identity is checked in each sector of conserved charge n1 - n2:
     K0, K+ and K- never change the charge, and truncating n1 and n2 only
     shortens each sector, so both sides are block diagonal over the sectors
-    and the cross-sector entries vanish identically.  Sectors that reach no
-    interior entry are skipped.
+    and the cross-sector entries vanish identically.  The sectors that
+    reach an interior entry, zero-padded to one length, form one stack of
+    blocks on each side.
     """
     da, db = dims
     cut_a, cut_b = da // 3, db // 3
     if cut_a < 1 or cut_b < 1:
         raise ValueError("dims must be at least 3 for a non-empty interior block")
     coeffs = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
-    worst = 0.0
-    for n1, n2 in charge_sectors(da, db).values():
-        keep = (n1 < cut_a) & (n2 < cut_b)
-        if not keep.any():
-            continue
-        k0_diag = (n1 + n2 + 1.0) / 2.0
-        weights = np.sqrt(n1) * np.sqrt(n2)  # a1 a2 steps one place down the sector
-        pair_down = np.diag(weights[1:], 1)
-        lhs = matrix_exponential(
-            zeta0 * np.diag(k0_diag) + zeta_plus * pair_down.T + zeta_minus * pair_down
-        )
-        up = ladder_nilpotent_exp(weights, 1, coeffs.gamma_plus).T
-        middle = np.exp(np.log(coeffs.gamma0) * k0_diag)
-        rhs = (up * middle) @ ladder_nilpotent_exp(weights, 1, coeffs.gamma_minus)
-        worst = max(worst, float(np.abs((lhs - rhs)[np.ix_(keep, keep)]).max()))
-    return worst
+    n1, n2, real = charge_sectors(da, db)
+    keep = real & (n1 < cut_a) & (n2 < cut_b)
+    reach = keep.any(axis=1)
+    n1, n2, real, keep = n1[reach], n2[reach], real[reach], keep[reach]
+    k0_diag = np.where(real, (n1 + n2 + 1.0) / 2.0, 0.0)
+    weights = np.sqrt(n1) * np.sqrt(n2)  # a1 a2 steps one place down the sector
+    size = weights.shape[1]
+    js, ks = np.arange(size), np.arange(size - 1)
+    gen = np.zeros(weights.shape + (size,), dtype=complex)
+    gen[:, js, js] = zeta0 * k0_diag
+    gen[:, ks + 1, ks] = zeta_plus * weights[:, 1:]
+    gen[:, ks, ks + 1] = zeta_minus * weights[:, 1:]
+    lhs = matrix_exponential(gen)
+    up = ladder_nilpotent_exp(weights, 1, coeffs.gamma_plus).swapaxes(1, 2)
+    middle = np.exp(np.log(coeffs.gamma0) * k0_diag)
+    rhs = (up * middle[:, None, :]) @ ladder_nilpotent_exp(weights, 1, coeffs.gamma_minus)
+    return float(np.abs((lhs - rhs)[keep[:, :, None] & keep[:, None, :]]).max())
 
 
 # ------------------------------------------------------------------ two mode
@@ -371,38 +381,46 @@ def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[floa
     pair expansion; that generator is a1+ a2+ tanh T, which is nilpotent.
     Returns (commutator defect, vacuum annihilation defect, 1 - fidelity).
     """
-    import scipy.sparse as sp
-
     da, db = dims
-    a1, a2 = ladders_sparse(da, db)
-    lam_p = ((a1 + 1j * a2) / np.sqrt(2.0)).tocsr()
-    lam_m = ((a1 - 1j * a2) / np.sqrt(2.0)).tocsr()
+    a1, a2 = ladders_banded(da, db)
+    scale = 1.0 / np.sqrt(2.0)
+    lam_p = {db: a1[db] * scale, 1: 1j * a2[1] * scale}
+    lam_m = {db: a1[db] * scale, 1: -1j * a2[1] * scale}
     n1, n2 = number_diagonals(da, db)
-    interior = (n1 < da - 1) & (n2 < db - 1)
-    identity = sp.identity(da * db, format="csr", dtype=complex)
+    interior = {0: ((n1 < da - 1) & (n2 < db - 1)).astype(float)}
 
-    def interior_defect(mat) -> float:
-        coo = mat.tocoo()
-        keep = interior[coo.row] & interior[coo.col]
-        return float(np.abs(coo.data[keep]).max()) if keep.any() else 0.0
+    def commutator_defect(x, y, delta: float) -> float:
+        """Largest entry of [x, y+] - delta I on the interior."""
+        y_dag = band_adjoint(y)
+        xy, yx = band_product(x, y_dag), band_product(y_dag, x)
+        comm = {
+            k: xy.get(k, 0.0) - yx.get(k, 0.0) - (delta if k == 0 else 0.0)
+            for k in xy.keys() | yx.keys()
+        }
+        inner = band_product(band_product(interior, comm), interior)
+        return max(float(np.abs(band).max()) for band in inner.values())
 
-    comm_self = interior_defect(lam_p @ lam_p.conj().T - lam_p.conj().T @ lam_p - identity)
-    comm_self = max(
-        comm_self,
-        interior_defect(lam_m @ lam_m.conj().T - lam_m.conj().T @ lam_m - identity),
+    comm = max(
+        commutator_defect(lam_p, lam_p, 1.0),
+        commutator_defect(lam_m, lam_m, 1.0),
+        commutator_defect(lam_p, lam_m, 0.0),
     )
-    comm_mixed = interior_defect(lam_p @ lam_m.conj().T - lam_m.conj().T @ lam_p)
-    comm = max(comm_self, comm_mixed)
 
     vac = np.zeros(da * db, dtype=complex)
     vac[0] = 1.0
     annih = max(
-        float(np.linalg.norm(lam_p @ vac)), float(np.linalg.norm(lam_m @ vac))
+        float(np.linalg.norm(band_apply(lam_p, vac))),
+        float(np.linalg.norm(band_apply(lam_m, vac))),
     )
 
-    up = lam_p.conj().T
-    dn = lam_m.conj().T
-    gen = (1j / 2.0) * (up @ up - dn @ dn) * np.tanh(Theta)
+    up = band_adjoint(lam_p)
+    dn = band_adjoint(lam_m)
+    up2, dn2 = band_product(up, up), band_product(dn, dn)
+    gen = {}
+    for k in up2.keys() | dn2.keys():
+        band = (1j / 2.0) * (up2.get(k, 0.0) - dn2.get(k, 0.0)) * np.tanh(Theta)
+        if band.any():  # the a1+^2 and a2+^2 parts cancel exactly
+            gen[k] = band
     built = _nilpotent_action(gen, vac)
     built = built / np.linalg.norm(built)
     target = two_mode_theta_vacuum(Theta, dims)
@@ -410,12 +428,12 @@ def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[floa
     return comm, annih, float(deficit)
 
 
-def _nilpotent_action(gen, v: np.ndarray) -> np.ndarray:
-    """exp(gen) v for a nilpotent gen: the Taylor series up to its first
-    vanishing term, which comes after at most len(v) products."""
+def _nilpotent_action(gen: dict, v: np.ndarray) -> np.ndarray:
+    """exp(gen) v for a nilpotent banded gen: the Taylor series up to its
+    first vanishing term, which comes after at most len(v) products."""
     out = term = v
     for k in range(1, v.size + 1):
-        term = gen @ term / k
+        term = band_apply(gen, term) / k
         if not term.any():
             break
         out = out + term

@@ -1,14 +1,18 @@
 """Command line behavior: artifacts, determinism, exit codes, precedence."""
 
+import contextlib
 import csv
 import io
 import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fockbench import coherent as co
 from fockbench.cli import _emit_json, main
@@ -227,6 +231,7 @@ for argv in (
     ["verify", "--suite", "single-squeeze"],
     ["verify", "--suite", "two-squeeze"],
     ["verify", "--suite", "phase"],
+    ["verify", "--suite", "factorization"],
 ):
     assert main(argv + ["--out", sys.argv[1]]) == 0, argv
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
@@ -302,6 +307,92 @@ def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--alpha", "1e10j", "--points", "11"], "--points"),
+        (["--alpha=1e150", "--x-min=2", "--points=3"], "--points"),
+        (["--alpha=-1e-1", "--x-max=1e308", "--points=3"], "--points"),
+        (["--alpha", "2e4", "--points", "64"], "--alpha"),
+    ],
+    ids=["coarse-for-the-width", "huge-mean", "overflowing-span", "cancelling-exponent"],
+)
+def test_coherent_profile_refuses_an_unresolving_grid(argv, flag, tmp_path):
+    # the squeezed profile's rules with s = 1: one error line, no warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockbench.cli", "wavefunction", "--family", "coherent", *argv,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_coherent_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
+    # dx = 0.012 on the default grid: |p0| = sqrt2 |Im alpha| may reach pi / dx
+    argv = ["wavefunction", "--family", "coherent", "--points", "2001"]
+    assert run_cli(*argv, "--alpha", "185j") == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--alpha", "186j") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha ") and "grid" in err
+
+
+# number strings as a user may type them: any float repr, a digit with a
+# signed exponent over the whole float range and past it, and the specials
+_REALS = st.one_of(
+    st.floats().map(repr),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+              st.integers(-330, 330)),
+    st.sampled_from(["0", "-0", "nan", "-inf", "inf", "1e999", "x"]),
+)
+_COMPLEX = st.one_of(
+    _REALS,
+    _REALS.map(lambda r: r + "j"),
+    st.builds("{}+{}j".format, _REALS, _REALS),
+    st.builds("{}-{}j".format, _REALS, _REALS),
+)
+
+
+@st.composite
+def _wavefunction_argv(draw):
+    argv = ["wavefunction", "--family", draw(st.sampled_from(["coherent", "squeezed"]))]
+    values = {"--alpha": _COMPLEX, "--s": _REALS, "--x-min": _REALS, "--x-max": _REALS,
+              "--points": st.integers(-2, 64).map(str)}
+    for flag, strategy in values.items():
+        text = draw(st.none() | strategy)
+        if text is not None:
+            # both spellings: the value as its own argument goes through the
+            # negative-number rewrite in `main`
+            argv += draw(st.sampled_from([[f"{flag}={text}"], [flag, text]]))
+    return argv
+
+
+@given(argv=_wavefunction_argv())
+@example(argv=["wavefunction", "--family", "coherent", "--alpha", "1e10j", "--points", "11"])
+@example(argv=["wavefunction", "--family", "coherent", "--alpha=1e150", "--x-min=2",
+               "--points=3"])
+@example(argv=["wavefunction", "--family", "coherent", "--alpha=-1e-1", "--x-max=1e308",
+               "--points=3"])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_wavefunction_fuzz_exits_cleanly(argv, tmp_path):
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 2)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if code == 2:
+        assert len(errors) == 1
+        assert not out.exists()
+    else:
+        assert errors == [] and out.exists()
+
+
 def test_squeezed_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
     # dx = 0.01 on the default grid: |p0| = sqrt2 |Im alpha| may reach pi / dx
     argv = ["wavefunction", "--family", "squeezed", "--s", "1", "--points", "2001"]
@@ -310,19 +401,6 @@ def test_squeezed_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
     assert run_cli(*argv, "--alpha", "223j") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --alpha ") and "grid" in err
-
-
-def test_factorization_suite_loads_no_sparse_linalg(tmp_path):
-    code = """
-import sys
-from fockbench.cli import main
-assert main(["verify", "--suite", "factorization", "--out", sys.argv[1]]) == 0
-print("scipy.sparse.linalg" in sys.modules)
-"""
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 def test_precondition_violation_exits_two(capsys):

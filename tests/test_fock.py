@@ -239,6 +239,32 @@ def test_ladder_exp_dense_matches_the_complex_generator(dim, step, alpha):
         assert np.array_equal(got, np.eye(dim))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_matrix_exponential_matches_per_matrix_calls(dtype):
+    # one shared squaring count, from the largest 1-norm: the small members
+    # take more squarings than on their own, and agree to roundoff
+    rng = np.random.default_rng(23)
+    stack = rng.standard_normal((5, 9, 9)) if dtype is float else (
+        rng.standard_normal((5, 9, 9)) + 1j * rng.standard_normal((5, 9, 9)))
+    stack = np.stack([_with_norm(M, norm) for M, norm in zip(stack, (1e-3, 0.5, 4.0, 20.0, 60.0))])
+    stack[2] = np.diag(np.diag(stack[2]))  # a diagonal member takes the Pade route too
+    got = matrix_exponential(stack)
+    assert got.shape == stack.shape and got.dtype == stack.dtype
+    for g, M in zip(got, stack):
+        want = matrix_exponential(M)
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+    nested = matrix_exponential(stack.reshape(5, 1, 9, 9))
+    assert np.array_equal(nested.reshape(got.shape), got)
+
+
+def test_zero_and_diagonal_stacks_are_exact():
+    zero = matrix_exponential(np.zeros((4, 6, 6)))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(6), (4, 6, 6)))
+    d = -1j * np.arange(12.0).reshape(2, 6)
+    got = matrix_exponential(np.stack([np.diag(row) for row in d]))
+    assert np.array_equal(got, np.stack([np.diag(np.exp(row)) for row in d]))
+
+
 def test_matrix_exponential_group_law_commuting():
     x, _ = build_quadratures(16)
     A = 0.7j * x
@@ -323,6 +349,18 @@ def test_nilpotent_exp_matches_the_matrix_power_series(dim, step, g):
     assert np.array_equal(got == 0, want == 0)
     nonzero = want != 0
     assert np.all(np.abs(got - want)[nonzero] <= 1e-14 * np.abs(want[nonzero]))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 9, 24])
+def test_stacked_nilpotent_exp_equals_per_row_calls(dim, step):
+    rng = np.random.default_rng(dim)
+    rows = np.abs(rng.standard_normal((2, 3, dim)))
+    rows[0, 1, dim // 2 :] = 0.0  # a zero-padded row
+    got = ladder_nilpotent_exp(rows, step, 0.4 - 0.9j)
+    assert got.shape == (2, 3, dim, dim)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], ladder_nilpotent_exp(rows[idx], step, 0.4 - 0.9j))
 
 
 def test_ladder_exp_action_at_zero_alpha_returns_v():

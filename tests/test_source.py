@@ -1,4 +1,5 @@
-"""Every function in the package is reached from the package itself."""
+"""Every function in the package is reached from the package itself, and
+scipy is imported only where it is used, never at module level."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,33 @@ def test_every_function_has_a_caller_in_the_package():
         and not used.get(name, set()) - {name}
     }
     assert unused == set(ALLOWED_UNREFERENCED)
+
+
+def _scipy_imports():
+    """(module file, imported name, whether outside every function) for
+    each import of scipy or a scipy submodule in the package."""
+    found = []
+
+    def visit(node, path, in_function):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        found.extend((path.name, name, not in_function) for name in names
+                     if name == "scipy" or name.startswith("scipy."))
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, in_function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, False)
+    return found
+
+
+def test_scipy_is_imported_inside_functions_only_and_never_sparse():
+    found = _scipy_imports()
+    assert found, "the scan finds the lazy LAPACK import of sqm.spectral_check"
+    assert not [f for f in found if f[2]], "module-level scipy import"
+    assert not [f for f in found if f[1].startswith("scipy.sparse")]

@@ -91,6 +91,42 @@ def test_batched_chi_states_equal_a_per_level_loop(lam, n_levels):
         assert np.array_equal(g.values, w.values)
 
 
+@pytest.mark.parametrize("lam", [-2.0, 1.0, 5.0, 1e6])
+@pytest.mark.parametrize("n_levels", [1, 6, MAX_LEVELS])
+def test_real_chi_states_equal_the_complex_route(lam, n_levels):
+    # the levels built and normalized as one complex array: a complex row
+    # divided by its real norm is a multiply by the reciprocal
+    fam = build_family(lam)
+    xs, dx = fam.xs, fam.dx
+    psis = hermite_levels(xs, n_levels)
+    dpsis = np.gradient(psis, dx, axis=1, edge_order=2)
+    ns = np.arange(1, n_levels, dtype=float)[:, None]
+    want = np.empty((n_levels, xs.size), dtype=complex)
+    want[0] = np.sqrt(lam * (lam + 1.0)) * fam.psi0 / (lam + fam.cumulative)
+    want[1:] = psis[1:] + fam.phi_lambda * (dpsis[1:] + fam.W * psis[1:]) / (2.0 * ns)
+    want /= np.sqrt(np.sum(np.abs(want) ** 2, axis=1) * dx)[:, None]
+    got = np.array([chi.values for chi in chi_states(fam, n_levels)])
+    assert got.dtype == complex
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("lam", [-2.0, 0.3, 1.0, 5.0, 1e6])
+def test_spectral_check_matches_full_precision_eigenvalues(lam):
+    # bisection to 1e-2, inverse iteration and the Rayleigh quotient against
+    # bisection to full precision; stebz's own tolerance is eps ||T||_1 ~ 4.4e-12
+    fam = build_family(lam)
+    dx = fam.dx
+    vals = eigh_tridiagonal(
+        1.0 / (dx * dx) + deformed_potential(fam),
+        np.full(fam.xs.size - 1, -0.5 / (dx * dx)),
+        eigvals_only=True,
+        select="i",
+        select_range=(0, 5),
+    )
+    want = np.abs(vals - (np.arange(6) + 0.5))
+    assert np.abs(np.array(spectral_check(fam, 6)) - want).max() <= 1e-11
+
+
 def test_potential_differs_then_converges():
     xs = build_family(1.0).xs
     v_deformed = deformed_potential(build_family(1.0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fockbench.fock import TwoModeState, matrix_exponential
+from fockbench.fock import TwoModeState, build_ladder, matrix_exponential
 from fockbench.squeezing import (
     _nilpotent_action,
     disentangle_identity_residual,
@@ -16,7 +16,34 @@ from fockbench.squeezing import (
     two_mode_theta_vacuum,
 )
 from fockbench.su11 import PairCoherentSpec, pair_coherent, parity_pair_state
-from fockbench.twomode import charge_sectors, ladders_sparse, number_diagonals
+from fockbench.twomode import (
+    band_adjoint,
+    band_apply,
+    band_product,
+    charge_sectors,
+    ladders_banded,
+    number_diagonals,
+)
+
+
+def ladders_sparse(dim_a: int, dim_b: int):
+    """a1 and a2 as scipy CSR matrices: the reference for the banded ladders."""
+    import scipy.sparse as sp
+
+    a, _ = build_ladder(dim_a)
+    b, _ = build_ladder(dim_b)
+    a1 = sp.kron(sp.csr_matrix(a), sp.identity(dim_b, format="csr"), format="csr")
+    a2 = sp.kron(sp.identity(dim_a, format="csr"), sp.csr_matrix(b), format="csr")
+    return a1, a2
+
+
+def band_dense(op: dict, size: int) -> np.ndarray:
+    """The dense matrix of a banded operator on `size` basis states."""
+    out = np.zeros((size, size), dtype=np.result_type(*op.values()))
+    for k, d in op.items():
+        rows = np.arange(max(0, -k), min(size, size - k))
+        out[rows, rows + k] = d[rows]
+    return out
 
 
 def test_ladders_commute_across_modes():
@@ -149,23 +176,72 @@ def test_charge_sectors_reassemble_dense_generators(dims):
     a1, a2 = ladders_sparse(da, db)
     pair_down = (a1 @ a2).toarray()
     n1_all, n2_all = number_diagonals(da, db)
-    sectors = charge_sectors(da, db)
-    assert sorted(sectors) == list(range(1 - db, da))
+    n1s, n2s, real = charge_sectors(da, db)
+    assert n1s.shape == (da + db - 1, min(da, db))
+    assert np.array_equal(n1s[:, 0] - n2s[:, 0], np.arange(1 - db, da))
     down = np.zeros((da * db, da * db), dtype=complex)
     up = np.zeros_like(down)
     k0 = np.zeros(da * db)
-    for q, (n1, n2) in sectors.items():
+    covered = []
+    for q, row in zip(range(1 - db, da), real):
+        n1, n2 = n1s[q + db - 1, row], n2s[q + db - 1, row]
+        # the real entries lead each row, the padding is zero
+        assert np.array_equal(row, np.arange(row.size) < row.sum())
+        assert not n1s[q + db - 1, ~row].any() and not n2s[q + db - 1, ~row].any()
         assert np.array_equal(n1 - n2, np.full(n1.size, q))
         idx = n1 * db + n2
+        covered.append(idx)
         block = np.diag(np.sqrt(n1[1:]) * np.sqrt(n2[1:]), 1)
         down[np.ix_(idx, idx)] = block
         up[np.ix_(idx, idx)] = block.T
         k0[idx] = (n1 + n2 + 1.0) / 2.0
-    covered = np.concatenate([n1 * db + n2 for n1, n2 in sectors.values()])
-    assert np.array_equal(np.sort(covered), np.arange(da * db))
+    assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(da * db))
     assert np.array_equal(down, pair_down)
     assert np.array_equal(up, pair_down.conj().T)
     assert np.array_equal(k0, (n1_all + n2_all + 1.0) / 2.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (5, 9), (9, 5), (12, 12)])
+def test_banded_ladders_match_the_sparse_reference(dims):
+    size = dims[0] * dims[1]
+    for band, sparse in zip(ladders_banded(*dims), ladders_sparse(*dims)):
+        assert np.array_equal(band_dense(band, size), sparse.toarray())
+
+
+def _random_banded(rng, size: int, offsets) -> dict:
+    return {k: rng.standard_normal(size) + 1j * rng.standard_normal(size) for k in offsets}
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 30])
+def test_band_algebra_matches_sparse_products(size):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(size)
+    a = _random_banded(rng, size, (-3, 0, 2, 9))
+    b = _random_banded(rng, size, (-1, 4))
+    # entries whose column leaves the basis are never read
+    a_ref = sp.csr_matrix(band_dense(a, size))
+    b_ref = sp.csr_matrix(band_dense(b, size))
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    assert np.array_equal(band_dense(band_adjoint(a), size), a_ref.conj().T.toarray())
+    assert np.allclose(band_dense(band_product(a, b), size), (a_ref @ b_ref).toarray(),
+                       rtol=0.0, atol=1e-14)
+    assert np.allclose(band_apply(a, v), a_ref @ v, rtol=0.0, atol=1e-14)
+
+
+def test_rotated_mode_algebra_is_exact_in_bands():
+    # products of the rotated modes have at most two terms per entry, so
+    # the banded and the sparse algebra agree bit for bit
+    import scipy.sparse as sp
+
+    da, db = 7, 5
+    a1, a2 = ladders_banded(da, db)
+    s1, s2 = ladders_sparse(da, db)
+    scale = 1.0 / np.sqrt(2.0)
+    lam = {db: a1[db] * scale, 1: 1j * a2[1] * scale}
+    lam_ref = sp.csr_matrix((s1 + 1j * s2) / np.sqrt(2.0))
+    prod = band_product(lam, band_adjoint(lam))
+    assert np.array_equal(band_dense(prod, da * db), (lam_ref @ lam_ref.conj().T).toarray())
 
 
 def _nilpotent_series(m: np.ndarray) -> np.ndarray:
@@ -230,15 +306,19 @@ def test_rotated_mode_factorization(theta):
 @pytest.mark.parametrize("dims", [(2, 2), (5, 9), (40, 40)])
 @pytest.mark.parametrize("theta", [0.2, 0.5])
 def test_rotated_mode_series_matches_expm_multiply(theta, dims):
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import expm_multiply
 
-    a1, a2 = ladders_sparse(*dims)
-    up = ((a1 + 1j * a2) / np.sqrt(2.0)).conj().T
-    dn = ((a1 - 1j * a2) / np.sqrt(2.0)).conj().T
-    gen = (1j / 2.0) * (up @ up - dn @ dn) * np.tanh(theta)
-    vac = np.zeros(dims[0] * dims[1], dtype=complex)
+    size = dims[0] * dims[1]
+    a1, a2 = ladders_banded(*dims)
+    scale = 1.0 / np.sqrt(2.0)
+    up = band_adjoint({dims[1]: a1[dims[1]] * scale, 1: 1j * a2[1] * scale})
+    dn = band_adjoint({dims[1]: a1[dims[1]] * scale, 1: -1j * a2[1] * scale})
+    up2, dn2 = band_product(up, up), band_product(dn, dn)
+    gen = {k: (1j / 2.0) * (up2[k] - dn2[k]) * np.tanh(theta) for k in up2}
+    vac = np.zeros(size, dtype=complex)
     vac[0] = 1.0
-    want = expm_multiply(gen.tocsc(), vac)
+    want = expm_multiply(csc_matrix(band_dense(gen, size)), vac)
     assert np.abs(_nilpotent_action(gen, vac) - want).max() <= 1e-12
 
 
