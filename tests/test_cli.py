@@ -403,6 +403,19 @@ def test_squeezed_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
     assert err.startswith("error: --alpha ") and "grid" in err
 
 
+def test_factorization_suite_loads_no_sparse_linalg(tmp_path):
+    code = """
+import sys
+from fockbench.cli import main
+assert main(["verify", "--suite", "factorization", "--out", sys.argv[1]]) == 0
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_precondition_violation_exits_two(capsys):
     # modal tail cannot fit twelve levels at this displacement
     assert run_cli("state", "--family", "lambda-coherent", "--lam", "1",
