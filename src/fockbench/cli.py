@@ -33,7 +33,7 @@ from . import sqm
 from . import squeezing as sq
 from . import su11
 from .fock import FockState, quadrature_report
-from .verify import SUITES, run_suite
+from .verify import INPUTS, SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -242,13 +242,6 @@ def _apply_config(args: argparse.Namespace, options: dict) -> None:
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
-    # record what the user pinned before defaults flow in; the verify
-    # suites use their own tuned dimensions unless a value was pinned
-    args.pinned = {
-        name
-        for name in ("dim", "alpha", "theta", "lam")
-        if getattr(args, name, None) is not None
-    }
     if args.dim is None:
         env = os.environ.get("FOCKBENCH_DIM")
         if env is not None:
@@ -256,10 +249,10 @@ def _apply_defaults(args: argparse.Namespace) -> None:
                 args.dim = int(env)
             except ValueError as exc:
                 raise UsageError(f"FOCKBENCH_DIM is not an integer: {env!r}") from exc
-            args.pinned.add("dim")
-        else:
+        elif args.command != "verify":
+            # an unpinned dim leaves each verify suite its own tuned one
             args.dim = BUILTIN_DIM
-    if args.dim < 2:
+    if args.dim is not None and args.dim < 2:
         raise UsageError("dimension must be at least 2")
     if getattr(args, "phi", None) is None:
         args.phi = 0.0
@@ -346,15 +339,15 @@ def _sweep_two_mode(value: float, args) -> list:
     ]
 
 
-def _check_profile_grid(xs: np.ndarray, s: float, p0: float, alpha: complex) -> None:
-    """Refuse a grid that does not resolve a Gaussian profile of width s and
-    momentum p0: steps of at most 2s resolve the width, and dx |p0| <= pi
-    the momentum (Nyquist)."""
+def _check_profile_grid(xs: np.ndarray, step: float, p0: float, alpha: complex) -> None:
+    """Refuse a grid that does not resolve a profile: its steps may not exceed
+    `step` (2s for a Gaussian of width s), and dx |p0| <= pi resolves the
+    momentum p0 (Nyquist)."""
     dx = float(xs[1] - xs[0])
-    if not dx <= 2.0 * s:
+    if not dx <= step:
         raise UsageError(
             f"--points {xs.size}: grid steps of {dx:g} over [{xs[0]:g}, {xs[-1]:g}] "
-            f"exceed 2s = {2.0 * s:g}"
+            f"exceed {step:g}"
         )
     if dx * abs(p0) > math.pi:
         raise UsageError(f"--alpha {alpha}: momentum {p0:g} aliases on grid steps of {dx:g}")
@@ -362,8 +355,7 @@ def _check_profile_grid(xs: np.ndarray, s: float, p0: float, alpha: complex) -> 
 
 def _coherent_profile(args, grid):
     alpha = _require(args, ("alpha",))["alpha"]
-    xs = grid(math.sqrt(2.0) * alpha.real, 12.0)
-    _check_profile_grid(xs, 1.0, math.sqrt(2.0) * alpha.imag, alpha)
+    xs = grid(math.sqrt(2.0) * alpha.real, 12.0, 2.0, math.sqrt(2.0) * alpha.imag)
     # the exponent adds terms of size |alpha|^2: its roundoff, about
     # 4 eps |alpha|^2, stays below 1e-7 here and overflows exp near 2e9
     if not abs(alpha) <= 1e4:
@@ -378,8 +370,7 @@ def _squeezed_profile(args, grid):
     alpha = args.alpha or 0j
     x0 = math.sqrt(2.0) * alpha.real
     p0 = math.sqrt(2.0) * alpha.imag
-    xs = grid(x0, max(10.0, 8.0 * s + 2.0))
-    _check_profile_grid(xs, s, p0, alpha)
+    xs = grid(x0, max(10.0, 8.0 * s + 2.0), 2.0 * s, p0)
     return sq.squeezed_wavefunction(s, x0, p0, xs)
 
 
@@ -395,13 +386,13 @@ def _lambda_squeezed_state(p, dim):
 
 def _lambda_coherent_profile(args, grid):
     p = _require(args, ("lam", "z"))
-    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX))
+    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX, sqm.GRID_STEP))
     return sqm.lambda_coherent(p["z"], fam, _modal_levels(args.dim))
 
 
 def _lambda_squeezed_profile(args, grid):
     p = _require(args, ("lam", "xi", "z"))
-    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX))
+    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX, sqm.GRID_STEP))
     return sqm.lambda_squeezed(p["xi"], p["z"], fam, _modal_levels(args.dim))
 
 
@@ -510,54 +501,38 @@ FAMILIES = {
 # ----------------------------------------------------------------- state
 
 
-def _state_payload(args: argparse.Namespace) -> dict:
+def run_state(args: argparse.Namespace) -> tuple[int, dict, Callable]:
     family = FAMILIES[args.family]
     params = _require(args, family.params)
     state = family.build(params, args.dim)
     shape = state.amps.shape
+    probs = (np.abs(state.amps) ** 2).ravel()
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "state",
         "family": args.family,
         "parameters": params,
         "dim": shape[0] if len(shape) == 1 else list(shape),
         "amplitudes": state.amps.ravel(),
-        "photon_distribution": (np.abs(state.amps) ** 2).ravel(),
+        "photon_distribution": probs,
         "quadrature_report": None,
     }
     if family.report is not None:
         payload.update(family.report(state))
-    return payload
 
+    def table():
+        index = np.arange(probs.size)
+        if len(shape) == 2:
+            n1, n2 = np.divmod(index, shape[1])
+            return ("n1", "n2", "probability"), np.column_stack((n1, n2, probs))
+        return ("n", "probability"), np.column_stack((index, probs))
 
-def _state_csv(payload: dict) -> str:
-    probs = payload["photon_distribution"]
-    dim = payload["dim"]
-    index = np.arange(probs.size)
-    if isinstance(dim, list):
-        n1, n2 = np.divmod(index, dim[1])
-        return _emit_csv(("n1", "n2", "probability"), np.column_stack((n1, n2, probs)))
-    return _emit_csv(("n", "probability"), np.column_stack((index, probs)))
-
-
-def run_state(args: argparse.Namespace) -> int:
-    if args.family is None:
-        raise UsageError("state needs --family")
-    payload = _state_payload(args)
-    if args.format == "csv":
-        _write_text(args.out, _state_csv(payload))
-    else:
-        _write_text(args.out, _emit_json(payload))
-    return 0
+    return 0, payload, table
 
 
 # ---------------------------------------------------------------- verify
 
 
-def run_verify(args: argparse.Namespace) -> int:
-    if args.suite is None:
-        raise UsageError("verify needs --suite")
-    cfg = {name: getattr(args, name) for name in args.pinned}
+def run_verify(args: argparse.Namespace) -> tuple[int, dict, Callable]:
+    cfg = {name: getattr(args, name) for name in INPUTS[args.suite]}
     report = run_suite(args.suite, cfg, tol_scale=args.tol_scale)
     print(
         f"# suite {report.suite}: wall time {report.wall_time_s:.3f} s",
@@ -569,41 +544,29 @@ def run_verify(args: argparse.Namespace) -> int:
                 f"# FAIL {check.name}: {check.measured:.6e} > {check.bound:.6e}",
                 file=sys.stderr,
             )
-    if args.format == "csv":
-        rows = [
-            (c.name, c.measured, c.bound, int(c.passed)) for c in report.checks
-        ]
-        text = _emit_csv(("check", "measured", "bound", "passed"), rows)
-    else:
-        text = _emit_json(
+    payload = {
+        "suite": report.suite,
+        "tol_scale": args.tol_scale,
+        "passed": report.passed,
+        "checks": [
             {
-                "schema": SCHEMA_VERSION,
-                "command": "verify",
-                "suite": report.suite,
-                "tol_scale": args.tol_scale,
-                "passed": report.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "measured": c.measured,
-                        "bound": c.bound,
-                        "passed": c.passed,
-                    }
-                    for c in report.checks
-                ],
+                "name": c.name,
+                "measured": c.measured,
+                "bound": c.bound,
+                "passed": c.passed,
             }
-        )
-    _write_text(args.out, text)
-    return 0 if report.passed else 1
+            for c in report.checks
+        ],
+    }
+    header = ("check", "measured", "bound", "passed")
+    rows = [(c.name, c.measured, c.bound, int(c.passed)) for c in report.checks]
+    return (0 if report.passed else 1), payload, lambda: (header, rows)
 
 
 # ----------------------------------------------------------------- sweep
 
 
-def run_sweep(args: argparse.Namespace) -> int:
-    for name in ("family", "param", "start", "stop", "steps"):
-        if getattr(args, name, None) is None:
-            raise UsageError(f"sweep needs --{name.replace('_', '-')}")
+def run_sweep(args: argparse.Namespace) -> tuple[int, dict, Callable]:
     sweep = FAMILIES[args.family].sweep
     if sweep is None or sweep.param != args.param:
         pairs = sorted((f, e.sweep.param) for f, e in FAMILIES.items() if e.sweep)
@@ -615,34 +578,26 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep needs at least one step")
     values = np.linspace(args.start, args.stop, args.steps)
     rows = np.array([sweep.row(float(v), args) for v in values], dtype=float)
-    if args.format == "json":
-        text = _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "sweep",
-                "family": args.family,
-                "param": args.param,
-                "columns": list(sweep.header),
-                "rows": rows,
-            }
-        )
-    else:
-        text = _emit_csv(sweep.header, rows)
-    _write_text(args.out, text)
-    return 0
+    payload = {
+        "family": args.family,
+        "param": args.param,
+        "columns": list(sweep.header),
+        "rows": rows,
+    }
+    return 0, payload, lambda: (sweep.header, rows)
 
 
 # --------------------------------------------------------- wavefunction
 
 
-def run_wavefunction(args: argparse.Namespace) -> int:
-    if args.family is None:
-        raise UsageError("wavefunction needs --family")
+def run_wavefunction(args: argparse.Namespace) -> tuple[int, dict, Callable]:
     points = args.points or 2001
     if points < 2:
         raise UsageError("wavefunction needs at least two points")
 
-    def grid(center, half):
+    def grid(center, half, step, p0=0.0):
+        """The grid over [center - half, center + half] unless --x-min or
+        --x-max say otherwise, refused unless it resolves `step` and p0."""
         lo = args.x_min if args.x_min is not None else center - half
         hi = args.x_max if args.x_max is not None else center + half
         if 0.0 < hi - lo < math.inf:
@@ -650,9 +605,12 @@ def run_wavefunction(args: argparse.Namespace) -> int:
             # the float range for a span near it
             with np.errstate(over="raise"):
                 try:
-                    return np.linspace(lo, hi, points)
+                    xs = np.linspace(lo, hi, points)
                 except FloatingPointError:
                     pass
+                else:
+                    _check_profile_grid(xs, step, p0, args.alpha)
+                    return xs
         raise UsageError("x-max must exceed x-min by a grid span within the float range")
 
     profile = FAMILIES[args.family].profile
@@ -660,27 +618,33 @@ def run_wavefunction(args: argparse.Namespace) -> int:
         raise UsageError(f"no coordinate profile for family {args.family!r}")
     wf = profile(args, grid)
     xs = wf.xs
-    if args.format == "json":
-        text = _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "wavefunction",
-                "family": args.family,
-                "x_min": float(xs[0]),
-                "dx": float(wf.dx),
-                "values": wf.values,
-            }
-        )
-    else:
+    payload = {
+        "family": args.family,
+        "x_min": float(xs[0]),
+        "dx": float(wf.dx),
+        "values": wf.values,
+    }
+
+    def table():
         real, imag = wf.values.real, wf.values.imag
         # hypot, then pow: np.abs and squaring by x*x can differ in the last bit
         rows = np.column_stack((xs, real, imag, np.float_power(np.hypot(real, imag), 2)))
-        text = _emit_csv(("x", "re", "im", "abs2"), rows)
-    _write_text(args.out, text)
-    return 0
+        return ("x", "re", "im", "abs2"), rows
+
+    return 0, payload, table
 
 
 # ------------------------------------------------------------------ main
+
+# each subcommand's handler and the flags it cannot run without; a handler
+# returns its exit code, its JSON payload, which `main` stamps with schema
+# and command, and a thunk of its CSV header and rows
+COMMANDS = {
+    "state": (run_state, ("family",)),
+    "verify": (run_verify, ("suite",)),
+    "sweep": (run_sweep, ("family", "param", "start", "stop", "steps")),
+    "wavefunction": (run_wavefunction, ("family",)),
+}
 
 
 def main(argv=None) -> int:
@@ -705,13 +669,17 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, options[args.command])
         _apply_defaults(args)
-        handler = {
-            "state": run_state,
-            "verify": run_verify,
-            "sweep": run_sweep,
-            "wavefunction": run_wavefunction,
-        }[args.command]
-        return handler(args)
+        handler, required = COMMANDS[args.command]
+        for name in required:
+            if getattr(args, name) is None:
+                raise UsageError(f"{args.command} needs --{name}")
+        code, payload, table = handler(args)
+        if args.format == "csv":
+            text = _emit_csv(*table())
+        else:
+            text = _emit_json({"schema": SCHEMA_VERSION, "command": args.command, **payload})
+        _write_text(args.out, text)
+        return code
     except (UsageError, ValueError, ArithmeticError) as exc:
         # exit 1 means a failed check, so an overflow on the way is a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,8 @@ __all__ = [
 GRID_MIN = -10.0
 GRID_MAX = 10.0
 GRID_POINTS = 2001
+# the step the levels are calibrated at; build_family refuses a coarser grid
+GRID_STEP = (GRID_MAX - GRID_MIN) / (GRID_POINTS - 1)
 MAX_LEVELS = 12
 
 
@@ -66,8 +68,8 @@ def build_family(lam: float, xs: np.ndarray | None = None) -> IsospectralFamily:
     if xs is None:
         xs = np.linspace(GRID_MIN, GRID_MAX, GRID_POINTS)
     xs = np.asarray(xs, dtype=float)
-    if xs.size < GRID_POINTS or xs[0] > GRID_MIN or xs[-1] < GRID_MAX:
-        raise ValueError("grid must span at least [-10, 10] with 2001 points")
+    if xs.size < 2 or xs[0] > GRID_MIN or xs[-1] < GRID_MAX or not xs[1] - xs[0] <= GRID_STEP:
+        raise ValueError(f"grid must span at least [-10, 10] in steps of at most {GRID_STEP:g}")
     psi0 = np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
     dens = psi0 * psi0
     # cumulative trapezoid rule, starting from 0 at the left end

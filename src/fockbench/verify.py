@@ -31,7 +31,7 @@ from .fock import (
     quadrature_report,
 )
 
-__all__ = ["Check", "VerifyReport", "SUITES", "run_suite"]
+__all__ = ["Check", "VerifyReport", "SUITES", "INPUTS", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,9 @@ def _deficit(f: float) -> float:
     return max(0.0, 1.0 - f)
 
 
-def _pinned(cfg: dict, name: str, default, low: float = 0.0, high: float = np.inf):
+def _pinned(cfg: dict, name: str, default, low: float, high: float):
     """The pinned value of `name` (zero included), `default` when unpinned; a
-    magnitude outside [low, high], where the suite's closed forms leave float
-    range, is refused by its flag."""
+    magnitude outside [low, high] is refused by its flag."""
     value = cfg.get(name)
     if value is not None and not low <= abs(value) <= high:
         upper = f" <= {high:g}" if high < np.inf else ""
@@ -81,13 +80,12 @@ def _violation(value: float, floor: float) -> float:
 # ----------------------------------------------------------------- suites
 
 
-def suite_ho_algebra(cfg) -> list[Check]:
+def suite_ho_algebra(dim) -> list[Check]:
     checks = []
     for d in (8, 16, 32, 64):
         a, adag = build_ladder(d)
         defect = max_abs_interior(a @ adag - adag @ a - np.eye(d), d - 1)
         checks.append(Check(f"ladder commutator interior dim {d}", defect, 1e-12))
-    dim = _pinned(cfg, "dim", 32)
     a, adag = build_ladder(dim)
     n_op = number_operator(dim)
     checks.append(
@@ -129,12 +127,10 @@ def suite_ho_algebra(cfg) -> list[Check]:
     return checks
 
 
-def suite_coherent(cfg) -> list[Check]:
-    dim = _pinned(cfg, "dim", 64)
+def suite_coherent(dim, alpha) -> list[Check]:
     alphas = [0.5, 1 + 1j, 2.0, 3.0]
-    extra = _pinned(cfg, "alpha", None, high=1e150)  # |alpha|^2
-    if extra is not None and extra not in alphas:
-        alphas.append(extra)
+    if alpha is not None and alpha not in alphas:
+        alphas.append(alpha)
     checks = []
     a, _ = build_ladder(dim)
     worst_eig = worst_mean = worst_var = worst_prod = 0.0
@@ -169,16 +165,14 @@ def suite_coherent(cfg) -> list[Check]:
     return checks
 
 
-def suite_time_evolution(cfg) -> list[Check]:
-    dim = _pinned(cfg, "dim", 64)
-    alpha0 = _pinned(cfg, "alpha", 2.0, high=1e300)  # the trajectory's second difference
+def suite_time_evolution(dim, alpha) -> list[Check]:
     a, adag = build_ladder(dim)
     h = adag @ a + 0.5 * np.eye(dim)
-    base = co.coherent_ladder(co.CoherentSpec(alpha0, dim))
+    base = co.coherent_ladder(co.CoherentSpec(alpha, dim))
     checks = []
     worst_fid = worst_norm = 0.0
     for t in (np.pi / 4, np.pi, 2 * np.pi):
-        label = co.evolve_coherent(co.EvolutionSpec(alpha0, t), dim)
+        label = co.evolve_coherent(co.EvolutionSpec(alpha, t), dim)
         direct = matrix_exponential(-1j * t * h) @ base.amps
         worst_norm = max(worst_norm, abs(np.linalg.norm(direct) - 1.0))
         worst_fid = max(worst_fid, _deficit(abs(np.vdot(direct, label.amps)) ** 2))
@@ -186,7 +180,7 @@ def suite_time_evolution(cfg) -> list[Check]:
     checks.append(Check("evolution preserves the norm", worst_norm, 1e-12))
 
     ts = np.linspace(0.0, 2 * np.pi, 1001)
-    xs = co.classical_trajectory(alpha0, ts)
+    xs = co.classical_trajectory(alpha, ts)
     dt = ts[1] - ts[0]
     acc = (xs[2:] - 2 * xs[1:-1] + xs[:-2]) / dt ** 2
     shm = np.abs(acc + xs[1:-1]).max()
@@ -194,7 +188,7 @@ def suite_time_evolution(cfg) -> list[Check]:
     return checks
 
 
-def suite_pair(cfg) -> list[Check]:
+def suite_pair() -> list[Check]:
     checks = []
     worst = 0.0
     for k in (0.5, 0.75, 1.0, 2.0):
@@ -241,8 +235,7 @@ def suite_pair(cfg) -> list[Check]:
     return checks
 
 
-def suite_phase(cfg) -> list[Check]:
-    dim = _pinned(cfg, "dim", 64, low=12)  # the m = 3 ladder needs m <= dim // 4
+def suite_phase(dim) -> list[Check]:
     ops = ph.build_phase_set(dim)
     eye = np.eye(dim)
     checks = []
@@ -279,8 +272,7 @@ def suite_phase(cfg) -> list[Check]:
     return checks
 
 
-def suite_single_squeeze(cfg) -> list[Check]:
-    dim = _pinned(cfg, "dim", 96, low=3)  # the splitting block int(dim / e) is not empty
+def suite_single_squeeze(dim) -> list[Check]:
     checks = []
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
@@ -339,9 +331,7 @@ def suite_single_squeeze(cfg) -> list[Check]:
     return checks
 
 
-def suite_two_squeeze(cfg) -> list[Check]:
-    theta = _pinned(cfg, "theta", 0.5, high=100.0)  # sinh^2(2 theta)
-    dim = _pinned(cfg, "dim", 40)
+def suite_two_squeeze(theta, dim) -> list[Check]:
     checks = []
     # a pinned dim truncates the theta state only, not the s = 1 pair vacuum
     tm = sq.two_mode_squeezed_vacuum(1.0, (40, 40))
@@ -370,9 +360,7 @@ def suite_two_squeeze(cfg) -> list[Check]:
     return checks
 
 
-def suite_factorization(cfg) -> list[Check]:
-    theta = _pinned(cfg, "theta", 0.5)
-    dim = _pinned(cfg, "dim", 40)
+def suite_factorization(theta, dim) -> list[Check]:
     checks = []
     comm, annih, deficit = sq.lambda_mode_factorization(theta, (dim, dim))
     checks.append(Check("rotated-mode commutators", comm, 1e-10))
@@ -393,8 +381,7 @@ def suite_factorization(cfg) -> list[Check]:
     return checks
 
 
-def suite_sqm(cfg) -> list[Check]:
-    lam = _pinned(cfg, "lam", 1.0, 1e-100, 1e150)  # lam (lam + 1) and phi^2 at the pole
+def suite_sqm(lam) -> list[Check]:
     checks = []
     worst_ortho = worst_spec = 0.0
     for l in (-2.0, lam, 5.0):
@@ -443,13 +430,31 @@ SUITES = {
     "sqm": suite_sqm,
 }
 
+# each suite's inputs, flag -> (default, low, high): a pinned value's
+# magnitude must lie in [low, high], where the suite's closed forms stay in
+# float range, and a dim's low is the suite's minimum dim
+INPUTS = {
+    # at dim 2 the random states of the uncertainty floor fill the whole basis
+    "ho-algebra": {"dim": (32, 3, np.inf)},
+    "coherent": {"dim": (64, 2, np.inf), "alpha": (None, 0.0, 1e150)},  # |alpha|^2
+    # alpha: the trajectory's second difference
+    "time-evolution": {"dim": (64, 2, np.inf), "alpha": (2.0, 0.0, 1e300)},
+    "pair": {},
+    "phase": {"dim": (64, 12, np.inf)},  # the m = 3 ladder needs m <= dim // 4
+    "single-squeeze": {"dim": (96, 3, np.inf)},  # the splitting block int(dim / e) is not empty
+    "two-squeeze": {"theta": (0.5, 0.0, 100.0), "dim": (40, 2, np.inf)},  # sinh^2(2 theta)
+    "factorization": {"theta": (0.5, 0.0, np.inf), "dim": (40, 2, np.inf)},
+    "sqm": {"lam": (1.0, 1e-100, 1e150)},  # lam (lam + 1) and phi^2 at the pole
+}
+
 
 def run_suite(name: str, cfg: dict | None = None, tol_scale: float = 1.0) -> VerifyReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     cfg = cfg or {}
+    values = {flag: _pinned(cfg, flag, *record) for flag, record in INPUTS[name].items()}
     t0 = time.perf_counter()
-    raw = SUITES[name](cfg)
+    raw = SUITES[name](**values)
     wall = time.perf_counter() - t0
     checks = [Check(c.name, c.measured, c.bound * tol_scale) for c in raw]
     return VerifyReport(suite=name, checks=checks, wall_time_s=wall)

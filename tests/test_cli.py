@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from fockbench import coherent as co
 from fockbench.cli import _emit_json, main
 from fockbench.sqm import build_family
-from fockbench.verify import SUITES
+from fockbench.verify import INPUTS, SUITES
 
 
 def run_cli(*argv):
@@ -163,6 +165,34 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# one run of each subcommand, each holding every flag the subcommand requires
+COMMAND_CASES = {
+    "state": ["--family", "coherent", "--alpha", "1", "--dim", "8"],
+    "verify": ["--suite", "time-evolution"],
+    "sweep": ["--family", "theta-vacuum", "--param", "theta", "--start", "0", "--stop", "1",
+              "--steps", "2", "--dim", "8"],
+    "wavefunction": ["--family", "squeezed", "--s", "1", "--points", "11"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_CASES))
+def test_every_command_stamps_schema_and_command_first(command, capsys):
+    assert run_cli(command, *COMMAND_CASES[command], "--format", "json") == 0
+    assert capsys.readouterr().out.startswith(f'{{"schema":1,"command":"{command}",')
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("state", "family"), ("verify", "suite"), ("sweep", "family"), ("sweep", "param"),
+     ("sweep", "start"), ("sweep", "stop"), ("sweep", "steps"), ("wavefunction", "family")],
+)
+def test_a_missing_required_flag_is_named(command, flag, capsys):
+    argv = COMMAND_CASES[command]
+    i = argv.index(f"--{flag}")
+    assert run_cli(command, *argv[:i], *argv[i + 2 :]) == 2
+    assert capsys.readouterr() == ("", f"error: {command} needs --{flag}\n")
+
+
 @pytest.mark.parametrize(
     "family, params",
     [
@@ -268,9 +298,11 @@ def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_pat
         ("single-squeeze", "2", 2),
         ("phase", "3", 2),
         ("phase", "11", 2),
+        ("ho-algebra", "2", 2),
         # at its minimum a suite runs, and a truncated state fails a check
         ("single-squeeze", "3", 1),
         ("phase", "12", 1),
+        ("two-squeeze", "2", 1),
     ],
 )
 def test_pinned_dim_below_a_suite_minimum_is_named(suite, dim, code, tmp_path):
@@ -282,11 +314,75 @@ def test_pinned_dim_below_a_suite_minimum_is_named(suite, dim, code, tmp_path):
     assert proc.returncode == code
     lines = [l for l in proc.stderr.splitlines() if not l.startswith("# suite ")]
     if code == 2:
-        minimum = {"single-squeeze": 3, "phase": 12}[suite]
+        minimum = INPUTS[suite]["dim"][1]
         assert len(lines) == 1 and lines[0].startswith(f"error: --dim {dim} ")
         assert f"{minimum} <= |dim|" in lines[0]
     else:
         assert lines and all(l.startswith("# FAIL ") for l in lines)
+
+
+def _verify(suite, *argv):
+    """Exit code, artifact and stderr lines of an in-process verify run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--suite", suite, *argv])
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+@functools.cache
+def _unpinned(suite):
+    return _verify(suite)[:2]
+
+
+# the float range edges of every suite record, and the floats next to them
+_EDGES = [
+    v
+    for record in INPUTS.values()
+    for flag, (_, low, high) in record.items()
+    if flag != "dim"
+    for edge in (low, high)
+    if 0.0 < edge < math.inf
+    for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+]
+
+
+@st.composite
+def _pinned_runs(draw):
+    """A suite and one or two pinned flags, each maybe outside its range or
+    not taken by the suite at all."""
+    suite = draw(st.sampled_from(sorted(SUITES)))
+    # the suite's own flags twice as likely as the others
+    pool = ["dim", "alpha", "theta", "lam", *INPUTS[suite]]
+    flags = dict.fromkeys(draw(st.permutations(pool))[: draw(st.integers(1, 2))])
+    floats = st.sampled_from(_EDGES) | st.just(0.0) | st.floats(0.0, 1e308)
+    return suite, {f: draw(st.integers(2, 64) if f == "dim" else floats) for f in flags}
+
+
+@given(run=_pinned_runs())
+@example(run=("pair", {"dim": 10, "theta": 3.0}))
+@example(run=("sqm", {"dim": 10}))
+@example(run=("coherent", {"alpha": 1e150, "dim": 2}))
+@example(run=("time-evolution", {"alpha": 1e300, "dim": 2}))
+@example(run=("two-squeeze", {"theta": 100.0, "dim": 2}))
+@example(run=("factorization", {"theta": 1e308, "dim": 2}))
+@example(run=("sqm", {"lam": 1e-100}))
+@example(run=("sqm", {"lam": 1e150}))
+@settings(max_examples=40)
+def test_pinned_values_follow_the_suite_records(run):
+    # in process: a numpy warning is an error under the test configuration
+    suite, pinned = run
+    record = INPUTS[suite]
+    code, artifact, err = _verify(suite, *(f"--{f}={v!r}" for f, v in pinned.items()))
+    outside = [f for f, (_, low, high) in record.items()
+               if f in pinned and not low <= abs(pinned[f]) <= high]
+    if outside:
+        # the first flag in the record's order is named
+        assert code == 2 and len(err) == 1 and err[0].startswith(f"error: --{outside[0]} ")
+    elif not set(pinned) & set(record):
+        assert (code, artifact) == _unpinned(suite)
+    else:
+        assert code in (0, 1)
+        assert all(line.startswith(("# suite ", "# FAIL ")) for line in err)
 
 
 @pytest.mark.parametrize(
@@ -561,10 +657,13 @@ def test_lambda_profile_honours_the_grid(capsys):
     argv = ["wavefunction", "--family", "lambda-coherent", "--lam", "1", "--z", "0.5"]
     assert run_cli(*argv, "--points", "4001") == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 4002
-    # the family needs a grid over [-10, 10] with at least 2001 points
-    assert run_cli(*argv, "--points", "11", "--x-min", "-1", "--x-max", "1") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    # the family needs a grid over [-10, 10] in steps of at most 0.01, the step
+    # its levels are calibrated at; a coarser grid is refused before it is
+    # built, so no overflow warning comes first (warnings are errors here)
+    for grid in (["--points", "11", "--x-min", "-1", "--x-max", "1"], ["--x-max", "1e200"]):
+        assert run_cli(*argv, *grid) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points ") and len(err.strip().splitlines()) == 1
 
 
 # every family with parameter values inside its working range, and the

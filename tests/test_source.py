@@ -1,10 +1,13 @@
-"""Every function in the package is reached from the package itself, and
-scipy is imported only where it is used, never at module level."""
+"""Every function in the package is reached from the package itself,
+scipy is imported only where it is used, never at module level, and each
+verify suite takes exactly the inputs its record declares."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import fockbench
+from fockbench import verify
 
 SRC = Path(fockbench.__file__).parent
 
@@ -83,3 +86,12 @@ def test_scipy_is_imported_inside_functions_only_and_never_sparse():
     assert found, "the scan finds the lazy LAPACK import of sqm.spectral_check"
     assert not [f for f in found if f[2]], "module-level scipy import"
     assert not [f for f in found if f[1].startswith("scipy.sparse")]
+
+
+def test_each_suite_takes_exactly_its_record_inputs():
+    # a suite reads no input the CLI never passes, and hides no default
+    assert list(verify.SUITES) == list(verify.INPUTS)
+    for name, suite in verify.SUITES.items():
+        params = inspect.signature(suite).parameters
+        assert list(params) == list(verify.INPUTS[name]), name
+        assert all(p.default is p.empty for p in params.values()), name

@@ -183,6 +183,13 @@ def test_cumulative_density_equals_scipy_trapezoid(lo, hi, points):
     assert np.array_equal(fam.cumulative, cumulative_trapezoid(fam.psi0 ** 2, xs, initial=0.0))
 
 
+def test_family_refuses_a_grid_coarser_than_its_calibrated_step():
+    # 3000 points cover [-10, 200] in steps of 0.07: psi0 would be built on a
+    # grid the levels are not calibrated at
+    with pytest.raises(ValueError, match="in steps of at most 0.01"):
+        build_family(1.0, np.linspace(-10.0, 200.0, 3000))
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     code = "import sys, fockbench.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
