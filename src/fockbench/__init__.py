@@ -8,7 +8,6 @@ package verifies the closed-form identities these constructions satisfy.
 from .fock import (
     FockState,
     GridWavefunction,
-    QuadratureReport,
     TwoModeState,
     build_ladder,
     build_quadratures,

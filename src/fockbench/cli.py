@@ -32,7 +32,7 @@ from . import phase as ph
 from . import sqm
 from . import squeezing as sq
 from . import su11
-from .fock import FockState, quadrature_report
+from .fock import FockState, number_moments, quadrature_report
 from .verify import INPUTS, SUITES, run_suite
 
 __all__ = ["main"]
@@ -279,18 +279,9 @@ def _modal_levels(dim: int) -> int:
     return min(dim, MODAL_LEVELS)
 
 
-def _quadrature(state: FockState, warn: bool = True) -> dict:
-    rep = quadrature_report(state)
-    entries = {
-        "quadrature_report": {
-            "mean_x": rep.mean_x,
-            "mean_p": rep.mean_p,
-            "var_x": rep.var_x,
-            "var_p": rep.var_p,
-            "product": rep.product,
-        }
-    }
-    if warn and rep.tail_warning:
+def _quadrature(state: FockState) -> dict:
+    entries = {"quadrature_report": quadrature_report(state)}
+    if state.tail_mass(0.1) > 1e-8:
         entries["tail_warning"] = True
     return entries
 
@@ -298,7 +289,7 @@ def _quadrature(state: FockState, warn: bool = True) -> dict:
 def _modal_quadrature(state: FockState) -> dict:
     # the modal builders enforce their own level budget; the Fock-space
     # tail heuristic does not apply to them
-    return _quadrature(state, warn=False)
+    return {"quadrature_report": quadrature_report(state)}
 
 
 def _noise(state) -> dict:
@@ -306,26 +297,25 @@ def _noise(state) -> dict:
 
 
 def _sweep_squeezed_r(value: float, args) -> list:
-    spec = sq.SqueezeSpec(value, args.phi, args.dim)
-    state = sq.squeezed_vacuum(spec)
+    state = sq.squeezed_vacuum(value, args.phi, args.dim)
     rep = quadrature_report(state)
-    fid = state.fidelity(sq.squeezed_vacuum_closed_form(spec))
-    return [value, rep.mean_n, rep.var_x, rep.var_p, rep.product, fid]
+    fid = state.fidelity(sq.squeezed_vacuum_closed_form(value, args.phi, args.dim))
+    return [value, number_moments(state)[0], rep["var_x"], rep["var_p"], rep["product"], fid]
 
 
 def _sweep_coherent_t(value: float, args) -> list:
     if args.alpha is None:
         raise UsageError("sweep over coherent needs --alpha")
-    state = co.evolve_coherent(co.EvolutionSpec(args.alpha, value), args.dim)
+    state = co.evolve_coherent(args.alpha, value, args.dim)
     rep = quadrature_report(state)
-    return [value, rep.mean_x, rep.mean_p, rep.mean_n]
+    return [value, rep["mean_x"], rep["mean_p"], number_moments(state)[0]]
 
 
 def _sweep_theta_vacuum(value: float, args) -> list:
     state = sq.theta_vacuum(value, args.dim)
     rep = quadrature_report(state)
     resid = sq.theta_vacuum_residual(value, args.dim)
-    return [value, rep.mean_n, rep.var_x, rep.var_p, rep.product, resid]
+    return [value, number_moments(state)[0], rep["var_x"], rep["var_p"], rep["product"], resid]
 
 
 def _sweep_two_mode(value: float, args) -> list:
@@ -425,14 +415,14 @@ class Family:
 FAMILIES = {
     "coherent": Family(
         ("alpha",),
-        lambda p, dim: co.coherent_ladder(co.CoherentSpec(p["alpha"], dim)),
+        lambda p, dim: co.coherent_ladder(p["alpha"], dim),
         _quadrature,
         profile=_coherent_profile,
         sweep=Sweep("t", ("t", "mean_x", "mean_p", "mean_n"), _sweep_coherent_t),
     ),
     "squeezed": Family(
         ("r", "phi"),
-        lambda p, dim: sq.squeezed_vacuum(sq.SqueezeSpec(p["r"], p["phi"], dim)),
+        lambda p, dim: sq.squeezed_vacuum(p["r"], p["phi"], dim),
         _quadrature,
         profile=_squeezed_profile,
         sweep=Sweep(
@@ -463,7 +453,7 @@ FAMILIES = {
     ),
     "pair": Family(
         ("zeta", "q"),
-        lambda p, dim: su11.pair_coherent(su11.PairCoherentSpec(p["zeta"], p["q"], dim)),
+        lambda p, dim: su11.pair_coherent(p["zeta"], p["q"], dim),
         _noise,
     ),
     # the ladder index is a weight label, not a photon number, so no
@@ -591,7 +581,7 @@ def run_sweep(args: argparse.Namespace) -> tuple[int, dict, Callable]:
 
 
 def run_wavefunction(args: argparse.Namespace) -> tuple[int, dict, Callable]:
-    points = args.points or 2001
+    points = 2001 if args.points is None else args.points
     if points < 2:
         raise UsageError("wavefunction needs at least two points")
 

@@ -7,8 +7,6 @@ through log-gamma, and the ladder expansion through `fock.log_series`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import (
@@ -20,8 +18,6 @@ from .fock import (
 )
 
 __all__ = [
-    "CoherentSpec",
-    "EvolutionSpec",
     "coherent_amplitudes",
     "coherent_ladder",
     "displacement_operator",
@@ -31,27 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoherentSpec:
-    alpha: complex
-    dim: int
-
-
-@dataclass(frozen=True)
-class EvolutionSpec:
-    alpha0: complex
-    t: float
-    omega: float = 1.0
-
-
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Amplitudes a^n / sqrt(n!), renormalized on the dim-level basis."""
     return log_series(-0.5 * log_gamma(np.arange(dim) + 1.0), alpha)
 
 
-def coherent_ladder(spec: CoherentSpec) -> FockState:
+def coherent_ladder(alpha: complex, dim: int) -> FockState:
     """Coherent state by direct summation, renormalized on the basis."""
-    return FockState(coherent_amplitudes(spec.alpha, spec.dim))
+    return FockState(coherent_amplitudes(alpha, dim))
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
@@ -71,15 +54,14 @@ def coherent_wavefunction(alpha: complex, xs: np.ndarray) -> GridWavefunction:
     return wf.normalized()
 
 
-def evolve_coherent(spec: EvolutionSpec, dim: int) -> FockState:
-    """Harmonic evolution: a rotating label and a global phase."""
-    rotated = np.exp(-1j * spec.omega * spec.t) * spec.alpha0
-    base = coherent_ladder(CoherentSpec(rotated, dim))
-    return FockState(np.exp(-1j * spec.omega * spec.t / 2.0) * base.amps)
+def evolve_coherent(alpha0: complex, t: float, dim: int) -> FockState:
+    """Harmonic evolution (omega = 1): a rotating label and a global phase."""
+    base = coherent_ladder(np.exp(-1j * t) * alpha0, dim)
+    return FockState(np.exp(-1j * t / 2.0) * base.amps)
 
 
 def classical_trajectory(alpha0: complex, ts: np.ndarray) -> np.ndarray:
-    """Mean position sqrt2 |alpha0| cos(omega t - arg alpha0) on the grid."""
+    """Mean position sqrt2 |alpha0| cos(t - arg alpha0) on the grid."""
     ts = np.asarray(ts, dtype=float)
     if ts.size >= 3:
         steps = np.diff(ts)

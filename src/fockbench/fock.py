@@ -20,7 +20,6 @@ __all__ = [
     "FockState",
     "TwoModeState",
     "GridWavefunction",
-    "QuadratureReport",
     "build_ladder",
     "build_quadratures",
     "number_operator",
@@ -31,6 +30,7 @@ __all__ = [
     "ladder_moments",
     "quadrature_moments",
     "quadrature_report",
+    "number_moments",
     "fock_basis_state",
     "check_dim",
     "log_gamma",
@@ -68,12 +68,12 @@ class FockState:
             raise ValueError("cannot normalize the zero vector")
         return FockState(self.amps / n)
 
-    def check_normalized(self, tail_tol: float = STATE_TAIL_TOL) -> None:
+    def check_normalized(self) -> None:
         n2 = self.norm ** 2
-        if not (1.0 - tail_tol <= n2 <= 1.0 + 1e-12):
+        if not (1.0 - STATE_TAIL_TOL <= n2 <= 1.0 + 1e-12):
             raise ValueError(f"state norm^2 = {n2!r} outside the allowed band")
 
-    def tail_mass(self, fraction: float = 0.1) -> float:
+    def tail_mass(self, fraction: float) -> float:
         """Probability carried by the top `fraction` of the basis."""
         start = int(self.dim * (1.0 - fraction))
         return float(np.sum(np.abs(self.amps[start:]) ** 2))
@@ -147,18 +147,6 @@ class GridWavefunction:
 
     def l2_distance(self, other: "GridWavefunction") -> float:
         return float(np.sqrt(np.sum(np.abs(self.values - other.values) ** 2) * self.dx))
-
-
-@dataclass(frozen=True)
-class QuadratureReport:
-    mean_x: float
-    mean_p: float
-    var_x: float
-    var_p: float
-    product: float
-    mean_n: float
-    var_n: float
-    tail_warning: bool = False
 
 
 def check_dim(*dims: int) -> None:
@@ -370,17 +358,21 @@ def quadrature_moments(moments: tuple) -> tuple[float, float, float, float]:
     return mean_x, mean_p, var_x, var_p
 
 
-def quadrature_report(state: FockState, tail_tol: float = STATE_TAIL_TOL) -> QuadratureReport:
-    """Means, variances and the uncertainty product of x and p, and the
-    mean and variance of N = a+a; <N^2> is <L+L> for L|n> = n|n-1>."""
-    state.check_normalized(tail_tol)
-    ns = np.arange(state.dim, dtype=float)
-    moments = ladder_moments(state.amps, np.sqrt(ns))
+def quadrature_report(state: FockState) -> dict:
+    """Means, variances and the uncertainty product of x and p, keyed as in
+    a state artifact's "quadrature_report" entry."""
+    state.check_normalized()
+    moments = ladder_moments(state.amps, np.sqrt(np.arange(state.dim, dtype=float)))
     mx, mp, vx, vp = quadrature_moments(moments)
-    mean_n = moments[2]
-    var_n = ladder_moments(state.amps, ns)[2] - mean_n * mean_n
-    warn = state.tail_mass(0.1) > 1e-8
-    return QuadratureReport(mx, mp, vx, vp, vx * vp, mean_n, var_n, tail_warning=warn)
+    return {"mean_x": mx, "mean_p": mp, "var_x": vx, "var_p": vp, "product": vx * vp}
+
+
+def number_moments(state: FockState) -> tuple[float, float]:
+    """Mean and variance of N = a+a; <N^2> is <L+L> for L|n> = n|n-1>."""
+    state.check_normalized()
+    ns = np.arange(state.dim, dtype=float)
+    mean_n = ladder_moments(state.amps, np.sqrt(ns))[2]
+    return mean_n, ladder_moments(state.amps, ns)[2] - mean_n * mean_n
 
 
 def fock_basis_state(dim: int, n: int) -> FockState:

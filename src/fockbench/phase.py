@@ -18,9 +18,9 @@ from .fock import (
     ladder_exp_action,
     ladder_moments,
     log_series,
+    number_moments,
     number_operator,
     quadrature_moments,
-    quadrature_report,
 )
 
 __all__ = [
@@ -39,8 +39,6 @@ class PhaseOperatorSet:
     dim: int
     gamma_minus: np.ndarray
     gamma_plus: np.ndarray
-    cos_phi: np.ndarray
-    sin_phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,18 +56,12 @@ def _shift_down(dim: int) -> np.ndarray:
 
 
 def build_phase_set(dim: int) -> PhaseOperatorSet:
-    """Phase operators G-, G+ and the Hermitian cos/sin combinations.
-
-    The sine uses (G+ - G-)/(2i); with this choice both combinations are
-    Hermitian and satisfy the expected commutation with N on the interior.
-    """
+    """Phase operators G- and G+ = (G-)+; cos phi = (G+ + G-)/2 and
+    sin phi = (G+ - G-)/(2i) are their Hermitian combinations."""
     if dim < 3:
         raise ValueError("dim must be at least 3")
     gm = _shift_down(dim)
-    gp = gm.conj().T
-    cos_phi = (gp + gm) / 2.0
-    sin_phi = (gp - gm) / 2j
-    return PhaseOperatorSet(dim, gm, gp, cos_phi, sin_phi)
+    return PhaseOperatorSet(dim, gm, gm.conj().T)
 
 
 def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
@@ -80,7 +72,7 @@ def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
     """
     mx, mp, vx, vp = quadrature_moments(ladder_moments(s.amps, np.arange(s.dim) > 0))
     mean_cos, mean_sin = mx / np.sqrt(2.0), -mp / np.sqrt(2.0)
-    d_n = float(np.sqrt(max(quadrature_report(s).var_n, 0.0)))
+    d_n = float(np.sqrt(max(number_moments(s)[1], 0.0)))
     d_cos = float(np.sqrt(max(vx / 2.0, 0.0)))
     d_sin = float(np.sqrt(max(vp / 2.0, 0.0)))
     return d_cos * d_n, abs(mean_sin) / 2.0, d_sin * d_n, abs(mean_cos) / 2.0

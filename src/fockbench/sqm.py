@@ -45,11 +45,9 @@ MAX_LEVELS = 12
 class IsospectralFamily:
     lam: float
     xs: np.ndarray
-    W: np.ndarray
     psi0: np.ndarray
     cumulative: np.ndarray
     phi_lambda: np.ndarray
-    E0: float = 0.5
 
     @property
     def dx(self) -> float:
@@ -80,7 +78,6 @@ def build_family(lam: float, xs: np.ndarray | None = None) -> IsospectralFamily:
     return IsospectralFamily(
         lam=float(lam),
         xs=xs,
-        W=xs.copy(),
         psi0=psi0,
         cumulative=cumulative,
         phi_lambda=phi_lambda,
@@ -103,7 +100,7 @@ def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunctio
     """Deformed eigenstates, renormalized on the grid.
 
     chi_0 carries the closed-form prefactor sqrt(lam(lam+1)); higher
-    levels get the correction phi * (d/dx + W) psi_n / (2n), with the
+    levels get the correction phi * (d/dx + x) psi_n / (2n), with the
     derivative taken by the centered 3-point stencil; all levels form one
     real array, each row normalized as by `GridWavefunction.normalized`
     (a complex row divided by its real norm is multiplied by the
@@ -117,21 +114,21 @@ def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunctio
     ns = np.arange(1, n_levels, dtype=float)[:, None]
     values = np.empty((n_levels, xs.size))
     values[0] = np.sqrt(lam * (lam + 1.0)) * family.psi0 / (lam + family.cumulative)
-    values[1:] = psis[1:] + family.phi_lambda * (dpsis[1:] + family.W * psis[1:]) / (2.0 * ns)
+    values[1:] = psis[1:] + family.phi_lambda * (dpsis[1:] + xs * psis[1:]) / (2.0 * ns)
     values *= 1.0 / np.sqrt(np.sum(np.abs(values) ** 2, axis=1) * dx)[:, None]
     return [GridWavefunction(xs[0], dx, row) for row in values]
 
 
 def deformed_potential(family: IsospectralFamily) -> np.ndarray:
-    """Potential of the deformed Hamiltonian, E0 included.
+    """Potential of the deformed Hamiltonian, E0 = 1/2 included.
 
     The derivative of the deformation obeys its own first-order identity
     phi' = -2x phi - phi^2, which is used directly instead of a stencil.
     """
-    w_hat = family.W + family.phi_lambda
+    w_hat = family.xs + family.phi_lambda
     dphi = -2.0 * family.xs * family.phi_lambda - family.phi_lambda ** 2
     w_hat_prime = 1.0 + dphi
-    return 0.5 * (w_hat * w_hat - w_hat_prime) + family.E0
+    return 0.5 * (w_hat * w_hat - w_hat_prime) + 0.5
 
 
 def spectral_check(family: IsospectralFamily, n_levels: int) -> list[float]:

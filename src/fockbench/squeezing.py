@@ -44,7 +44,6 @@ from .twomode import (
 )
 
 __all__ = [
-    "SqueezeSpec",
     "BogoliubovMap",
     "DisentangleCoeffs",
     "GeneralizedFactorSolution",
@@ -68,21 +67,6 @@ __all__ = [
     "lambda_mode_factorization",
     "generalized_condition_solution",
 ]
-
-
-@dataclass(frozen=True)
-class SqueezeSpec:
-    r: float
-    phi: float
-    dim: int
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("squeeze magnitude must be nonnegative")
-
-    @property
-    def xi(self) -> complex:
-        return self.r * np.exp(1j * self.phi)
 
 
 @dataclass(frozen=True)
@@ -122,10 +106,10 @@ class GeneralizedFactorSolution:
 # ---------------------------------------------------------------- single mode
 
 
-def squeeze_operator(spec: SqueezeSpec) -> np.ndarray:
+def squeeze_operator(xi: complex, dim: int) -> np.ndarray:
     """Dense exp((xi a+^2 - xi* a^2)/2) by the Pade route."""
-    ns = np.arange(spec.dim, dtype=float)
-    return ladder_exp_dense(np.sqrt(ns * (ns - 1.0)), 2, spec.xi / 2.0)
+    ns = np.arange(dim, dtype=float)
+    return ladder_exp_dense(np.sqrt(ns * (ns - 1.0)), 2, xi / 2.0)
 
 
 def squeeze_action(xi: complex, v: np.ndarray) -> np.ndarray:
@@ -134,8 +118,12 @@ def squeeze_action(xi: complex, v: np.ndarray) -> np.ndarray:
     return ladder_exp_action(np.sqrt(ns * (ns - 1.0)), 2, xi / 2.0, v)
 
 
-def squeezed_vacuum(spec: SqueezeSpec) -> FockState:
-    return FockState(squeeze_action(spec.xi, fock_basis_state(spec.dim, 0).amps)).normalized()
+def squeezed_vacuum(r: float, phi: float, dim: int) -> FockState:
+    """S(r e^{i phi})|0> on the dim-level basis, for r >= 0."""
+    if r < 0:
+        raise ValueError("squeeze magnitude must be nonnegative")
+    xi = r * np.exp(1j * phi)
+    return FockState(squeeze_action(xi, fock_basis_state(dim, 0).amps)).normalized()
 
 
 def _even_ket(ratio: complex, dim: int) -> FockState:
@@ -147,21 +135,21 @@ def _even_ket(ratio: complex, dim: int) -> FockState:
     return FockState(amps)
 
 
-def squeezed_vacuum_closed_form(spec: SqueezeSpec) -> FockState:
+def squeezed_vacuum_closed_form(r: float, phi: float, dim: int) -> FockState:
     """Even-ket expansion of the squeezed vacuum.
 
     amps_{2j} is proportional to (e^{i phi} tanh r / 2)^j sqrt((2j)!)/j!.
     The factor 2^{-j} is required for the expansion to reproduce the
     exponential construction; see the uncertainty and fidelity tests.
     """
-    return _even_ket(np.tanh(spec.r) / 2.0 * np.exp(1j * spec.phi), spec.dim)
+    return _even_ket(np.tanh(r) / 2.0 * np.exp(1j * phi), dim)
 
 
-def squeeze_operator_factored(spec: SqueezeSpec) -> np.ndarray:
+def squeeze_operator_factored(xi: complex, dim: int) -> np.ndarray:
     """Squeeze operator as the ordered product of up, diagonal and down
     exponentials obtained from the general disentangling coefficients."""
-    coeffs = su11_disentangle_general(0.0, spec.xi, -np.conj(spec.xi))
-    ns = np.arange(spec.dim, dtype=float)
+    coeffs = su11_disentangle_general(0.0, xi, -np.conj(xi))
+    ns = np.arange(dim, dtype=float)
     weights = np.sqrt(ns * (ns - 1.0))  # a^2 |n> = weights[n] |n - 2>
     up = ladder_nilpotent_exp(weights, 2, coeffs.gamma_plus / 2.0).T
     down = ladder_nilpotent_exp(weights, 2, coeffs.gamma_minus / 2.0)
@@ -204,8 +192,8 @@ def vacuum_moment_u(theta: float, n: int, dim: int) -> complex:
         raise ValueError("moment order must be positive")
     if 2 * n >= dim // 2:
         raise ValueError("moment order too large for this truncation")
-    spec = SqueezeSpec(abs(theta), 0.0 if theta >= 0 else np.pi, dim)
-    psi = squeeze_action(spec.xi, fock_basis_state(dim, 0).amps)
+    xi = abs(theta) * np.exp(1j * (0.0 if theta >= 0 else np.pi))
+    psi = squeeze_action(xi, fock_basis_state(dim, 0).amps)
     # <0| a^{2n} = sqrt((2n)!) <2n|
     return complex(math.sqrt(math.factorial(2 * n)) * psi[2 * n])
 
@@ -443,11 +431,7 @@ def _nilpotent_action(gen: dict, v: np.ndarray) -> np.ndarray:
 # ------------------------------------------------- generalized condition
 
 
-def generalized_condition_solution(
-    Theta: float,
-    c: float,
-    grids: tuple[np.ndarray, np.ndarray] | None = None,
-) -> GeneralizedFactorSolution:
+def generalized_condition_solution(Theta: float, c: float) -> GeneralizedFactorSolution:
     """Factorized Gaussian solution of the first-order two-coordinate
     condition with mu = cosh T, nu = -sinh T and the linear couplings
     f(x1) = -x1, g(x2) = -x2.
@@ -466,12 +450,9 @@ def generalized_condition_solution(
     nu = float(-np.sinh(Theta))
     if mu + nu <= 0:
         raise ValueError("phi factor would not be normalizable")
-    if grids is None:
-        half = min(1.0, max(0.25, 3.0 * abs(nu)))
-        x1 = np.linspace(-8.0, 8.0, 2048)
-        x2 = np.linspace(-half, half, 2048)
-    else:
-        x1, x2 = (np.asarray(g, dtype=float) for g in grids)
+    half = min(1.0, max(0.25, 3.0 * abs(nu)))
+    x1 = np.linspace(-8.0, 8.0, 2048)
+    x2 = np.linspace(-half, half, 2048)
 
     q1 = (c * x1 - (mu + nu) * x1 * x1 / 2.0) / mu
     q2 = (c * x2 - (mu - nu) * x2 * x2 / 2.0) / nu
@@ -482,12 +463,9 @@ def generalized_condition_solution(
     dphi = np.gradient(phi, h1, edge_order=2)
     dchi = np.gradient(chi, h2, edge_order=2)
 
-    stride1 = max(1, x1.size // 256)
-    stride2 = max(1, x2.size // 256)
-    i1 = np.arange(1, x1.size - 1, stride1)
-    i2 = np.arange(1, x2.size - 1, stride2)
-    s_x1, s_phi, s_dphi = x1[i1], phi[i1], dphi[i1]
-    s_x2, s_chi, s_dchi = x2[i2], chi[i2], dchi[i2]
+    sub = np.arange(1, x1.size - 1, 8)  # every 8th interior point: 256 per axis
+    s_x1, s_phi, s_dphi = x1[sub], phi[sub], dphi[sub]
+    s_x2, s_chi, s_dchi = x2[sub], chi[sub], dchi[sub]
     # mu (d/dx1 + x1 - x2) + nu (x1 + x2 - d/dx2) applied to phi(x1) chi(x2):
     # two outer products, summed by one (256 x 2) @ (2 x 256) product
     left = np.stack((mu * s_dphi + (mu + nu) * s_x1 * s_phi, s_phi), axis=1)

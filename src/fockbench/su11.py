@@ -24,7 +24,6 @@ from .twomode import number_diagonals, pair_ladder
 
 __all__ = [
     "SU11Rep",
-    "PairCoherentSpec",
     "su11_generators",
     "perelomov_state",
     "pair_coherent",
@@ -43,29 +42,6 @@ class SU11Rep:
             raise ValueError("Bargmann index must be positive")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-
-
-@dataclass(frozen=True)
-class PairCoherentSpec:
-    """Pair eigenvalue zeta and charge q on `levels` pair excitations.
-
-    The amplitude grid is rectangular (levels+q) x levels so the whole
-    charge sector fits.
-    """
-
-    zeta: complex
-    q: int
-    levels: int
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("charge must be nonnegative")
-        if self.levels < 2:
-            raise ValueError("need at least two pair levels")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.levels + self.q, self.levels)
 
 
 def su11_generators(rep: SU11Rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,16 +85,17 @@ def perelomov_exponential(rep: SU11Rep, xi: complex) -> FockState:
 
 
 def _charge_sector_state(coeffs: np.ndarray, q: int, levels: int) -> TwoModeState:
-    """Place unit sector coefficients on the kets |n+q, n>."""
+    """Place unit sector coefficients on the kets |n+q, n>, a rectangular
+    (levels+q) x levels grid so that the whole charge sector fits."""
     amps = np.zeros((levels + q, levels), dtype=complex)
     amps[np.arange(levels) + q, np.arange(levels)] = coeffs
     return TwoModeState(amps)
 
 
-def pair_coherent(spec: PairCoherentSpec) -> TwoModeState:
-    """Simultaneous eigenstate of ab and of the charge a+a - b+b."""
-    coeffs = _pair_sector_coeffs(spec.zeta, spec.q, spec.levels)
-    return _charge_sector_state(coeffs, spec.q, spec.levels)
+def pair_coherent(zeta: complex, q: int, levels: int) -> TwoModeState:
+    """Simultaneous eigenstate of ab, with eigenvalue zeta, and of the
+    charge a+a - b+b = q, on `levels` pair excitations."""
+    return _charge_sector_state(_pair_sector_coeffs(zeta, q, levels), q, levels)
 
 
 def _lower_pair(vec: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -185,6 +162,11 @@ def parity_pair_superposition(zeta: complex, q: int, levels: int) -> TwoModeStat
 
 
 def _pair_sector_coeffs(zeta: complex, q: int, levels: int) -> np.ndarray:
-    """Unit coefficients proportional to zeta^n / sqrt(n! (n+q)!)."""
+    """Unit coefficients proportional to zeta^n / sqrt(n! (n+q)!), for the
+    pair, parity-pair and superposition states alike."""
+    if q < 0:
+        raise ValueError("charge must be nonnegative")
+    if levels < 2:
+        raise ValueError("need at least two pair levels")
     ns = np.arange(levels)
     return log_series(-0.5 * (log_gamma(ns + 1.0) + log_gamma(ns + q + 1.0)), zeta)

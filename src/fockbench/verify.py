@@ -26,6 +26,7 @@ from .fock import (
     ladder_moments,
     matrix_exponential,
     max_abs_interior,
+    number_moments,
     number_operator,
     quadrature_moments,
     quadrature_report,
@@ -135,12 +136,13 @@ def suite_coherent(dim, alpha) -> list[Check]:
     a, _ = build_ladder(dim)
     worst_eig = worst_mean = worst_var = worst_prod = 0.0
     for al in alphas:
-        st = co.coherent_ladder(co.CoherentSpec(al, dim))
+        st = co.coherent_ladder(al, dim)
         worst_eig = max(worst_eig, float(np.linalg.norm(a @ st.amps - al * st.amps)))
-        rep = quadrature_report(st)
-        worst_mean = max(worst_mean, abs(rep.mean_n - abs(al) ** 2))
-        worst_var = max(worst_var, abs(rep.var_n - abs(al) ** 2))
-        worst_prod = max(worst_prod, abs(rep.product - 0.25))
+        product = quadrature_report(st)["product"]
+        mean_n, var_n = number_moments(st)
+        worst_mean = max(worst_mean, abs(mean_n - abs(al) ** 2))
+        worst_var = max(worst_var, abs(var_n - abs(al) ** 2))
+        worst_prod = max(worst_prod, abs(product - 0.25))
     checks.append(Check("annihilation eigen-residual", worst_eig, 1e-8))
     checks.append(Check("Poisson mean = |alpha|^2", worst_mean, 1e-8))
     checks.append(Check("Poisson variance = |alpha|^2", worst_var, 1e-8))
@@ -155,9 +157,7 @@ def suite_coherent(dim, alpha) -> list[Check]:
     worst_overlap = 0.0
     pairs = [(0.5, 1.5), (1 + 1j, 1 - 1j), (0.0, 2.0), (0.3j, 1.1)]
     for al, alp in pairs:
-        num = co.coherent_ladder(co.CoherentSpec(al, dim)).overlap(
-            co.coherent_ladder(co.CoherentSpec(alp, dim))
-        )
+        num = co.coherent_ladder(al, dim).overlap(co.coherent_ladder(alp, dim))
         worst_overlap = max(
             worst_overlap, abs(abs(num) ** 2 - np.exp(-abs(al - alp) ** 2))
         )
@@ -168,11 +168,11 @@ def suite_coherent(dim, alpha) -> list[Check]:
 def suite_time_evolution(dim, alpha) -> list[Check]:
     a, adag = build_ladder(dim)
     h = adag @ a + 0.5 * np.eye(dim)
-    base = co.coherent_ladder(co.CoherentSpec(alpha, dim))
+    base = co.coherent_ladder(alpha, dim)
     checks = []
     worst_fid = worst_norm = 0.0
     for t in (np.pi / 4, np.pi, 2 * np.pi):
-        label = co.evolve_coherent(co.EvolutionSpec(alpha, t), dim)
+        label = co.evolve_coherent(alpha, t, dim)
         direct = matrix_exponential(-1j * t * h) @ base.amps
         worst_norm = max(worst_norm, abs(np.linalg.norm(direct) - 1.0))
         worst_fid = max(worst_fid, _deficit(abs(np.vdot(direct, label.amps)) ** 2))
@@ -214,13 +214,13 @@ def suite_pair() -> list[Check]:
             )
     checks.append(Check("lowest-weight closed form vs exponential", worst, 1e-8))
 
-    spec = su11.PairCoherentSpec(1 + 1j, 2, 32)
-    st = su11.pair_coherent(spec)
-    eig, charge = su11.pair_residuals(st, spec.zeta, spec.q)
+    zeta, q = 1 + 1j, 2
+    st = su11.pair_coherent(zeta, q, 32)
+    eig, charge = su11.pair_residuals(st, zeta, q)
     checks.append(Check("pair eigen-residual", eig, 1e-8))
     checks.append(Check("charge-sector residual", charge, 1e-10))
 
-    other = su11.pair_coherent(su11.PairCoherentSpec(1.0, 3, 32))
+    other = su11.pair_coherent(1.0, 3, 32)
     pad = np.zeros((35, 32), dtype=complex)
     pad[: other.amps.shape[0], :] = other.amps
     cross = abs(np.vdot(pad[:34, :], st.amps))
@@ -258,7 +258,7 @@ def suite_phase(dim) -> list[Check]:
     checks.append(Check("m-step ladder commutators", worst, 1e-12))
 
     worst = 0.0
-    for s in (fock_basis_state(dim, 3), co.coherent_ladder(co.CoherentSpec(3.0, 96))):
+    for s in (fock_basis_state(dim, 3), co.coherent_ladder(3.0, 96)):
         dcos_dn, bound_sin, dsin_dn, bound_cos = ph.number_phase_uncertainty(s)
         worst = max(worst, _violation(dcos_dn, bound_sin), _violation(dsin_dn, bound_cos))
     checks.append(Check("number-phase uncertainty inequalities", worst, 1e-12))
@@ -276,7 +276,7 @@ def suite_single_squeeze(dim) -> list[Check]:
     checks = []
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
-        s_op = sq.squeeze_operator(sq.SqueezeSpec(r, 0.4, dim))
+        s_op = sq.squeeze_operator(r * np.exp(1j * 0.4), dim)
         m = int(dim * 0.75)
         worst = max(worst, max_abs_interior(s_op.conj().T @ s_op - np.eye(dim), m))
     checks.append(Check("squeeze unitarity on interior", worst, 1e-8))
@@ -286,9 +286,8 @@ def suite_single_squeeze(dim) -> list[Check]:
         # principal axes only: any other phase rotates the minimal
         # quadrature pair away from (x, p)
         for phi in (0.0, np.pi):
-            st = sq.squeezed_vacuum(sq.SqueezeSpec(r, phi, dim))
-            rep = quadrature_report(st)
-            worst_prod = max(worst_prod, abs(rep.product - 0.25))
+            st = sq.squeezed_vacuum(r, phi, dim)
+            worst_prod = max(worst_prod, abs(quadrature_report(st)["product"] - 0.25))
             worst_even = max(worst_even, float(np.abs(st.amps[1::2]).max()))
     checks.append(Check("squeezed vacuum saturates the product", worst_prod, 1e-8))
     checks.append(Check("even-photon support", worst_even, 1e-14))
@@ -305,9 +304,8 @@ def suite_single_squeeze(dim) -> list[Check]:
 
     worst = 0.0
     for r in (0.25, 0.5):
-        spec = sq.SqueezeSpec(r, 0.0, dim)
-        direct = sq.squeeze_operator(spec)
-        factored = sq.squeeze_operator_factored(spec)
+        direct = sq.squeeze_operator(r, dim)
+        factored = sq.squeeze_operator_factored(r, dim)
         m = int(dim / np.exp(2 * r))
         worst = max(worst, max_abs_interior(direct - factored, m))
     checks.append(Check("ordered-product splitting of the squeeze", worst, 1e-8))
@@ -398,7 +396,7 @@ def suite_sqm(lam) -> list[Check]:
     checks.append(
         Check(
             "modal uncertainty product",
-            abs(quadrature_report(FockState(coeffs)).product - 0.25),
+            abs(quadrature_report(FockState(coeffs))["product"] - 0.25),
             1e-5,
         )
     )

@@ -15,8 +15,6 @@ import pytest
 
 from fockbench.cli import main as cli_main
 from fockbench.coherent import (
-    CoherentSpec,
-    EvolutionSpec,
     classical_trajectory,
     coherent_ladder,
     evolve_coherent,
@@ -38,7 +36,6 @@ from fockbench.phase import (
     phase_squeezed_vacuum,
 )
 from fockbench.squeezing import (
-    SqueezeSpec,
     disentangle_identity_residual,
     generalized_condition_solution,
     lambda_mode_factorization,
@@ -62,7 +59,6 @@ from fockbench.sqm import (
     spectral_check,
 )
 from fockbench.su11 import (
-    PairCoherentSpec,
     SU11Rep,
     pair_coherent,
     pair_residuals,
@@ -103,7 +99,7 @@ def test_criterion_01_number_state_uncertainty():
     worst = 0.0
     for n in range(11):
         rep = quadrature_report(fock_basis_state(64, n))
-        worst = max(worst, abs(rep.product - (2 * n + 1) ** 2 / 4.0))
+        worst = max(worst, abs(rep["product"] - (2 * n + 1) ** 2 / 4.0))
     ok = worst <= 1e-10
     report(1, "number-state uncertainty ladder", ok, f"worst {worst:.3e} <= 1e-10")
     assert ok
@@ -115,7 +111,7 @@ def test_criterion_02_coherent_minimality_and_statistics():
     ns = np.arange(dim)
     worst = 0.0
     for alpha in (0.5, 1 + 1j, 2.0, 3j):
-        st = coherent_ladder(CoherentSpec(alpha, dim))
+        st = coherent_ladder(alpha, dim)
         eig = float(np.linalg.norm(a @ st.amps - alpha * st.amps))
         rep = quadrature_report(st)
         probs = np.abs(st.amps) ** 2
@@ -124,7 +120,7 @@ def test_criterion_02_coherent_minimality_and_statistics():
         worst = max(
             worst,
             eig,
-            abs(rep.product - 0.25),
+            abs(rep["product"] - 0.25),
             abs(mean - abs(alpha) ** 2),
             abs(var - abs(alpha) ** 2),
         )
@@ -136,7 +132,7 @@ def test_criterion_02_coherent_minimality_and_statistics():
 def test_criterion_03_overlap_law():
     dim = 96
     points = [0.0, 0.5, 1 + 1j, 1.5 - 0.5j, 2.0]
-    states = [coherent_ladder(CoherentSpec(al, dim)) for al in points]
+    states = [coherent_ladder(al, dim) for al in points]
     worst = 0.0
     for i, al in enumerate(points):
         for j, alp in enumerate(points):
@@ -167,11 +163,11 @@ def test_criterion_05_time_evolution():
     alpha0 = 2.0
     a, adag = build_ladder(dim)
     h = adag @ a + 0.5 * np.eye(dim)
-    base = coherent_ladder(CoherentSpec(alpha0, dim))
+    base = coherent_ladder(alpha0, dim)
     worst_deficit = 0.0
     for t in (np.pi / 4, np.pi, 2 * np.pi):
         direct = matrix_exponential(-1j * t * h) @ base.amps
-        label = evolve_coherent(EvolutionSpec(alpha0, t), dim)
+        label = evolve_coherent(alpha0, t, dim)
         worst_deficit = max(
             worst_deficit, 1.0 - abs(np.vdot(direct, label.amps)) ** 2
         )
@@ -203,7 +199,7 @@ def test_criterion_06_lowest_weight_closed_form():
 def test_criterion_07_pair_coherent_families():
     worst_eig = 0.0
     for zeta, q in ((1.0, 0), (2.0, 1), (1 + 1j, 2)):
-        st = pair_coherent(PairCoherentSpec(zeta, q, 32))
+        st = pair_coherent(zeta, q, 32)
         eig, charge = pair_residuals(st, zeta, q)
         worst_eig = max(worst_eig, eig, charge)
     nonlin = max(
@@ -259,18 +255,17 @@ def test_criterion_09_single_mode_squeezing():
     ns = np.arange(dim)
     worst_n = worst_var = worst_cf = 0.0
     for r in (0.3, 0.8, 1.2):
-        spec = SqueezeSpec(r, 0.0, dim)
-        st = squeezed_vacuum(spec)
+        st = squeezed_vacuum(r, 0.0, dim)
         probs = np.abs(st.amps) ** 2
         worst_n = max(worst_n, abs(float(probs @ ns) - np.sinh(r) ** 2))
         if r < 1.0:
             rep = quadrature_report(st)
             worst_var = max(
                 worst_var,
-                abs(rep.var_x - np.exp(2 * r) / 2.0),
-                abs(rep.var_p - np.exp(-2 * r) / 2.0),
+                abs(rep["var_x"] - np.exp(2 * r) / 2.0),
+                abs(rep["var_p"] - np.exp(-2 * r) / 2.0),
             )
-        worst_cf = max(worst_cf, 1.0 - st.fidelity(squeezed_vacuum_closed_form(spec)))
+        worst_cf = max(worst_cf, 1.0 - st.fidelity(squeezed_vacuum_closed_form(r, 0.0, dim)))
     theta_resid = theta_vacuum_residual(0.6, 96)
     worst_u = 0.0
     for n in (1, 2, 3):
@@ -317,9 +312,9 @@ def test_criterion_09_single_mode_squeezing():
     "bound is pinned to dim 96, so this sub-criterion is honestly red.",
 )
 def test_criterion_09_variance_pair_at_r12():
-    rep = quadrature_report(squeezed_vacuum(SqueezeSpec(1.2, 0.0, 96)))
-    err_x = abs(rep.var_x - np.exp(2.4) / 2.0)
-    err_p = abs(rep.var_p - np.exp(-2.4) / 2.0)
+    rep = quadrature_report(squeezed_vacuum(1.2, 0.0, 96))
+    err_x = abs(rep["var_x"] - np.exp(2.4) / 2.0)
+    err_p = abs(rep["var_p"] - np.exp(-2.4) / 2.0)
     ok = err_x <= 1e-7 and err_p <= 1e-7
     report(9, "variance pair at r=1.2, dim 96", ok,
            f"FAIL expected: var_x err {err_x:.3e}, var_p err {err_p:.3e} vs 1e-7")
@@ -404,7 +399,7 @@ def test_criterion_13_isospectral_family():
         worst_ortho = max(worst_ortho, float(np.abs(gram - np.eye(12)).max()))
     coeffs = modal_coherent_coeffs(0.5, 12)
     eig = modal_eigen_residual(coeffs, 0.5)
-    prod_err = abs(quadrature_report(FockState(coeffs)).product - 0.25)
+    prod_err = abs(quadrature_report(FockState(coeffs))["product"] - 0.25)
     fam_inf = build_family(1e6)
     chis_inf = chi_states(fam_inf, 6)
     psis = hermite_levels(fam_inf.xs, 6)

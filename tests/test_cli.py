@@ -194,6 +194,29 @@ def test_a_missing_required_flag_is_named(command, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["state", "--family", "squeezed", "--r", "-1"], "squeeze magnitude must be nonnegative"),
+        (["sweep", "--family", "squeezed", "--param", "r", "--start", "-0.2", "--stop", "0.2",
+          "--steps", "3"], "squeeze magnitude must be nonnegative"),
+        (["state", "--family", "pair", "--zeta", "1", "--q", "-1"], "charge must be nonnegative"),
+        (["state", "--family", "parity-pair", "--zeta", "1", "--q", "-1"],
+         "charge must be nonnegative"),
+        (["state", "--family", "perelomov", "--k", "0", "--xi", "0.3"],
+         "Bargmann index must be positive"),
+        (["wavefunction", "--family", "squeezed", "--s", "1", "--points", "0"],
+         "wavefunction needs at least two points"),
+    ],
+    ids=["squeezed-r", "squeezed-sweep-start", "pair-q", "parity-pair-q", "perelomov-k",
+         "wavefunction-points-0"],
+)
+def test_a_refused_parameter_is_one_error_line(argv, message, capsys):
+    # each builder checks its own parameters, so every route to it names them
+    assert run_cli(*argv, "--dim", "8") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "family, params",
     [
         ("squeezed", ["--r", "1e308"]),

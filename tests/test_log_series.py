@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from fockbench.coherent import CoherentSpec, coherent_amplitudes, coherent_ladder
+from fockbench.coherent import coherent_amplitudes, coherent_ladder
 from fockbench.fock import log_gamma, log_series
 from fockbench.phase import phase_squeeze_closed_form
 from fockbench.sqm import modal_coherent_coeffs
 from fockbench.squeezing import (
-    SqueezeSpec,
     squeezed_vacuum_closed_form,
     theta_vacuum,
     two_mode_theta_vacuum,
 )
 from fockbench.su11 import (
-    PairCoherentSpec,
     SU11Rep,
     pair_coherent,
     parity_pair_state,
@@ -107,7 +105,7 @@ for z in RATIOS + [-2.5, 1.5 - 2j, 40.0]:
         CASES.append((f"coherent_amplitudes-{z}-{dim}",
                       lambda z=z, d=dim: coherent_amplitudes(z, d),
                       lambda z=z, d=dim: to_numpy(ref_series(z, inv_sqrt_fact, d))))
-    CASES.append((f"coherent_ladder-{z}", lambda z=z: coherent_ladder(CoherentSpec(z, 33)).amps,
+    CASES.append((f"coherent_ladder-{z}", lambda z=z: coherent_ladder(z, 33).amps,
                   lambda z=z: to_numpy(ref_series(z, inv_sqrt_fact, 33))))
 for z in RATIOS:
     CASES.append((f"modal_coherent-{z}", lambda z=z: modal_coherent_coeffs(z, 12),
@@ -115,8 +113,7 @@ for z in RATIOS:
 for r, phi in ((0.0, 0.0), (0.4, 0.0), (1.3, 0.7), (0.8, -2.9), (2.0, np.pi)):
     for dim in (3, 40):
         CASES.append((f"squeezed-{r}-{phi}-{dim}",
-                      lambda r=r, phi=phi, d=dim: squeezed_vacuum_closed_form(
-                          SqueezeSpec(r, phi, d)).amps,
+                      lambda r=r, phi=phi, d=dim: squeezed_vacuum_closed_form(r, phi, d).amps,
                       lambda r=r, phi=phi, d=dim: even_ket(mp.tanh(r) / 2 * mp.expj(phi), d)))
 for theta in (0.0, 0.5, -0.5, -1.7):
     CASES.append((f"theta_vacuum-{theta}", lambda t=theta: theta_vacuum(t, 39).amps,
@@ -128,7 +125,7 @@ for k, xi in ((0.5, 0.0), (0.75, 0.4 + 0.2j), (1.5, -0.6), (2.0, -0.3 - 0.9j), (
                       kappa(xi), lambda j: mp.sqrt(mp.gamma(j + 2 * k) / mp.factorial(j)), 40))))
 for zeta, q in ((0.0, 2), (0.8 + 0.2j, 1), (-1.5, 0), (-0.5 - 0.2j, 3), (2.0, 300)):
     CASES.append((f"pair_coherent-{zeta}-{q}",
-                  lambda z=zeta, q=q: pair_coherent(PairCoherentSpec(z, q, 16)).amps,
+                  lambda z=zeta, q=q: pair_coherent(z, q, 16).amps,
                   lambda z=zeta, q=q: sector(pair_terms(z, q, 16), q, 16)))
     CASES.append((f"parity_pair-{zeta}-{q}", lambda z=zeta, q=q: parity_pair_state(z, q, 16).amps,
                   lambda z=zeta, q=q: sector(

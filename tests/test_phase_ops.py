@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fockbench.coherent import CoherentSpec, coherent_ladder
+from fockbench.coherent import coherent_ladder
 from fockbench.fock import FockState, fock_basis_state, number_operator
 from fockbench.phase import (
     build_omega_ops,
@@ -36,11 +36,16 @@ def test_reverse_product_misses_vacuum_projector():
     assert np.array_equal(prod[: dim - 1, : dim - 1], expected[: dim - 1, : dim - 1])
 
 
+def _trig_operators(ops) -> tuple[np.ndarray, np.ndarray]:
+    """cos phi = (G+ + G-)/2 and sin phi = (G+ - G-)/(2i)."""
+    return (ops.gamma_plus + ops.gamma_minus) / 2.0, (ops.gamma_plus - ops.gamma_minus) / 2j
+
+
 def test_trig_operators_hermitian_and_bounded():
-    ops = build_phase_set(48)
-    assert np.abs(ops.cos_phi - ops.cos_phi.conj().T).max() <= 1e-15
-    assert np.abs(ops.sin_phi - ops.sin_phi.conj().T).max() <= 1e-15
-    for op in (ops.cos_phi, ops.sin_phi):
+    cos_phi, sin_phi = _trig_operators(build_phase_set(48))
+    assert np.abs(cos_phi - cos_phi.conj().T).max() <= 1e-15
+    assert np.abs(sin_phi - sin_phi.conj().T).max() <= 1e-15
+    for op in (cos_phi, sin_phi):
         eigs = np.linalg.eigvalsh(op)
         assert eigs.min() >= -1.0 - 1e-12 and eigs.max() <= 1.0 + 1e-12
 
@@ -80,7 +85,7 @@ def test_omega_step_bounds():
 
 
 def test_uncertainty_inequalities_hold():
-    for state in (fock_basis_state(64, 5), coherent_ladder(CoherentSpec(3.0, 96))):
+    for state in (fock_basis_state(64, 5), coherent_ladder(3.0, 96)):
         dcos_dn, sin_bound, dsin_dn, cos_bound = number_phase_uncertainty(state)
         assert dcos_dn >= sin_bound - 1e-12
         assert dsin_dn >= cos_bound - 1e-12
@@ -88,7 +93,7 @@ def test_uncertainty_inequalities_hold():
 
 def _dense_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
     """Reference spreads from dense phase and number operators."""
-    ops = build_phase_set(s.dim)
+    cos_phi, sin_phi = _trig_operators(build_phase_set(s.dim))
 
     def ev(op) -> float:
         return float(np.vdot(s.amps, op @ s.amps).real)
@@ -98,10 +103,10 @@ def _dense_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
 
     d_n = spread(number_operator(s.dim))
     return (
-        spread(ops.cos_phi) * d_n,
-        abs(ev(ops.sin_phi)) / 2.0,
-        spread(ops.sin_phi) * d_n,
-        abs(ev(ops.cos_phi)) / 2.0,
+        spread(cos_phi) * d_n,
+        abs(ev(sin_phi)) / 2.0,
+        spread(sin_phi) * d_n,
+        abs(ev(cos_phi)) / 2.0,
     )
 
 
@@ -117,8 +122,8 @@ def _random_state(dim: int, seed: int) -> FockState:
         _random_state(8, 2),
         _random_state(64, 3),
         _random_state(300, 4),
-        coherent_ladder(CoherentSpec(3.0, 16)),
-        coherent_ladder(CoherentSpec(1.2 - 0.8j, 8)),
+        coherent_ladder(3.0, 16),
+        coherent_ladder(1.2 - 0.8j, 8),
         phase_squeeze_closed_form(0.5, 0.3, 1, 9),
     ],
     ids=["random-3", "random-8", "random-64", "random-300", "coherent-3", "coherent-complex",

@@ -1,6 +1,7 @@
 """Every function in the package is reached from the package itself,
-scipy is imported only where it is used, never at module level, and each
-verify suite takes exactly the inputs its record declares."""
+every dataclass field is read there, scipy is imported only where it is
+used, never at module level, and each verify suite takes exactly the
+inputs its record declares."""
 
 import ast
 import inspect
@@ -56,6 +57,30 @@ def test_every_function_has_a_caller_in_the_package():
         and not used.get(name, set()) - {name}
     }
     assert unused == set(ALLOWED_UNREFERENCED)
+
+
+def _dataclass_fields():
+    """(class, field) for each annotated field of each dataclass in the
+    package, and every attribute name the package reads."""
+    fields, read = [], set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return fields, read
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # matched by attribute name alone, as methods are: a field that is
+    # only ever set at construction is a knob nothing turns
+    fields, read = _dataclass_fields()
+    assert fields, "the scan finds the package's dataclasses"
+    assert [(cls, name) for cls, name in fields if name not in read] == []
 
 
 def _scipy_imports():

@@ -9,7 +9,6 @@ from fockbench.fock import build_ladder, quadrature_report
 from fockbench.phase import phase_squeeze_closed_form, phase_squeezed_vacuum
 from fockbench.squeezing import (
     BogoliubovMap,
-    SqueezeSpec,
     bogoliubov_apply,
     squeeze_operator,
     squeeze_operator_factored,
@@ -31,37 +30,37 @@ KM = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
 @pytest.mark.parametrize("r", [0.3, 0.8])
 def test_mean_photons_and_variance_pair(r):
     dim = 96
-    st = squeezed_vacuum(SqueezeSpec(r, 0.0, dim))
+    st = squeezed_vacuum(r, 0.0, dim)
     probs = np.abs(st.amps) ** 2
     mean_n = probs @ np.arange(dim)
     assert abs(mean_n - np.sinh(r) ** 2) <= 1e-6
     rep = quadrature_report(st)
-    assert abs(rep.var_x - np.exp(2 * r) / 2.0) <= 1e-7
-    assert abs(rep.var_p - np.exp(-2 * r) / 2.0) <= 1e-7
-    assert abs(rep.product - 0.25) <= 1e-7
+    assert abs(rep["var_x"] - np.exp(2 * r) / 2.0) <= 1e-7
+    assert abs(rep["var_p"] - np.exp(-2 * r) / 2.0) <= 1e-7
+    assert abs(rep["product"] - 0.25) <= 1e-7
 
 
 def test_chain_route_equals_the_dense_column_at_dim_512():
-    spec = SqueezeSpec(1.05, 0.3, 512)
-    dense = squeeze_operator(spec)[:, 0]
-    assert np.abs(squeezed_vacuum(spec).amps - dense / np.linalg.norm(dense)).max() <= 1e-13
+    dense = squeeze_operator(1.05 * np.exp(0.3j), 512)[:, 0]
+    chain = squeezed_vacuum(1.05, 0.3, 512).amps
+    assert np.abs(chain - dense / np.linalg.norm(dense)).max() <= 1e-13
 
 
 def test_even_support_is_structural():
-    st = squeezed_vacuum(SqueezeSpec(0.9, 1.1, 96))
+    st = squeezed_vacuum(0.9, 1.1, 96)
     assert np.abs(st.amps[1::2]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("r,phi", [(0.3, 0.0), (0.8, 1.2), (1.2, -0.5)])
 def test_closed_form_matches_operator_route(r, phi):
-    spec = SqueezeSpec(r, phi, 96)
-    assert squeezed_vacuum(spec).fidelity(squeezed_vacuum_closed_form(spec)) >= 1.0 - 1e-8
+    closed = squeezed_vacuum_closed_form(r, phi, 96)
+    assert squeezed_vacuum(r, phi, 96).fidelity(closed) >= 1.0 - 1e-8
 
 
 def test_unitarity_on_interior():
     dim = 96
     for r in (0.5, 1.5):
-        s_op = squeeze_operator(SqueezeSpec(r, 0.7, dim))
+        s_op = squeeze_operator(r * np.exp(0.7j), dim)
         defect = np.abs((s_op.conj().T @ s_op - np.eye(dim))[:72, :72]).max()
         assert defect <= 1e-8
 
@@ -69,9 +68,8 @@ def test_unitarity_on_interior():
 def test_factored_operator_matches_direct():
     dim = 96
     for r in (0.25, 0.5):
-        spec = SqueezeSpec(r, 0.0, dim)
-        direct = squeeze_operator(spec)
-        factored = squeeze_operator_factored(spec)
+        direct = squeeze_operator(r, dim)
+        factored = squeeze_operator_factored(r, dim)
         rows = int(dim / np.exp(2.0 * r))
         assert np.abs((direct - factored)[:rows, :rows]).max() <= 1e-8
 

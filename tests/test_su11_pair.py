@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fockbench.su11 import (
-    PairCoherentSpec,
     SU11Rep,
     pair_coherent,
     pair_residuals,
@@ -57,16 +56,15 @@ def test_state_rejects_boundary():
 
 @pytest.mark.parametrize("zeta,q", [(1.0, 0), (2.0, 1), (1 + 1j, 2)])
 def test_pair_coherent_eigenproperties(zeta, q):
-    spec = PairCoherentSpec(zeta, q, 32)
-    st = pair_coherent(spec)
+    st = pair_coherent(zeta, q, 32)
     eig, charge = pair_residuals(st, zeta, q)
     assert eig <= 1e-8
     assert charge <= 1e-10
 
 
 def test_pair_charge_sectors_orthogonal():
-    a = pair_coherent(PairCoherentSpec(1.5, 0, 32))
-    b = pair_coherent(PairCoherentSpec(1.5, 2, 32))
+    a = pair_coherent(1.5, 0, 32)
+    b = pair_coherent(1.5, 2, 32)
     padded = np.zeros_like(b.amps)
     padded[: a.amps.shape[0], :] = a.amps
     assert abs(np.vdot(padded, b.amps)) == 0.0

@@ -15,7 +15,7 @@ from fockbench.squeezing import (
     two_mode_squeezed_vacuum,
     two_mode_theta_vacuum,
 )
-from fockbench.su11 import PairCoherentSpec, pair_coherent, parity_pair_state
+from fockbench.su11 import pair_coherent, parity_pair_state
 from fockbench.twomode import (
     band_adjoint,
     band_apply,
@@ -144,8 +144,8 @@ def _random_grid(dims, seed) -> TwoModeState:
         _random_grid((9, 13), 1),
         _random_grid((13, 9), 2),
         _random_grid((2, 5), 3),
-        pair_coherent(PairCoherentSpec(0.8 + 0.3j, 2, 5)),
-        pair_coherent(PairCoherentSpec(1.5, 0, 9)),
+        pair_coherent(0.8 + 0.3j, 2, 5),
+        pair_coherent(1.5, 0, 9),
         parity_pair_state(1.5j, 1, 6),
         parity_pair_state(1.0, 0, 10),
         two_mode_theta_vacuum(0.6, (11, 7)),
