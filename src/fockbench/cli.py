@@ -39,7 +39,6 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 BUILTIN_DIM = 64
-MODAL_LEVELS = 12
 
 
 class UsageError(Exception):
@@ -276,7 +275,7 @@ def _require(args: argparse.Namespace, names) -> dict:
 
 
 def _modal_levels(dim: int) -> int:
-    return min(dim, MODAL_LEVELS)
+    return min(dim, sqm.MAX_LEVELS)
 
 
 def _quadrature(state: FockState) -> dict:
@@ -312,7 +311,7 @@ def _sweep_coherent_t(value: float, args) -> list:
 
 
 def _sweep_theta_vacuum(value: float, args) -> list:
-    state = sq.theta_vacuum(value, args.dim)
+    state = sq.squeezed_vacuum_closed_form(value, 0.0, args.dim)
     rep = quadrature_report(state)
     resid = sq.theta_vacuum_residual(value, args.dim)
     return [value, number_moments(state)[0], rep["var_x"], rep["var_p"], rep["product"], resid]
@@ -374,16 +373,12 @@ def _lambda_squeezed_state(p, dim):
     return FockState(sqm.modal_squeezed_coeffs(p["xi"], p["z"], _modal_levels(dim)))
 
 
-def _lambda_coherent_profile(args, grid):
-    p = _require(args, ("lam", "z"))
+def _modal_profile(args, grid):
+    """A lambda family's own `build` output laid out on its deformed basis."""
+    family = FAMILIES[args.family]
+    p = _require(args, family.params)
     fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX, sqm.GRID_STEP))
-    return sqm.lambda_coherent(p["z"], fam, _modal_levels(args.dim))
-
-
-def _lambda_squeezed_profile(args, grid):
-    p = _require(args, ("lam", "xi", "z"))
-    fam = sqm.build_family(p["lam"], grid(0.0, sqm.GRID_MAX, sqm.GRID_STEP))
-    return sqm.lambda_squeezed(p["xi"], p["z"], fam, _modal_levels(args.dim))
+    return sqm.assemble(fam, family.build(p, args.dim).amps)
 
 
 # ------------------------------------------------------- family registry
@@ -433,7 +428,7 @@ FAMILIES = {
     ),
     "theta-vacuum": Family(
         ("theta",),
-        lambda p, dim: sq.theta_vacuum(p["theta"], dim),
+        lambda p, dim: sq.squeezed_vacuum_closed_form(p["theta"], 0.0, dim),
         _quadrature,
         sweep=Sweep(
             "theta",
@@ -477,13 +472,13 @@ FAMILIES = {
         ("lam", "z"),
         _lambda_coherent_state,
         _modal_quadrature,
-        profile=_lambda_coherent_profile,
+        profile=_modal_profile,
     ),
     "lambda-squeezed": Family(
         ("lam", "xi", "z"),
         _lambda_squeezed_state,
         _modal_quadrature,
-        profile=_lambda_squeezed_profile,
+        profile=_modal_profile,
     ),
 }
 
@@ -522,6 +517,9 @@ def run_state(args: argparse.Namespace) -> tuple[int, dict, Callable]:
 
 
 def run_verify(args: argparse.Namespace) -> tuple[int, dict, Callable]:
+    # a negative scale would fail every check; 0 forces every nonzero one to fail
+    if args.tol_scale < 0:
+        raise UsageError(f"--tol-scale {args.tol_scale:g} must be nonnegative")
     cfg = {name: getattr(args, name) for name in INPUTS[args.suite]}
     report = run_suite(args.suite, cfg, tol_scale=args.tol_scale)
     print(

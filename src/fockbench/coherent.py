@@ -18,7 +18,6 @@ from .fock import (
 )
 
 __all__ = [
-    "coherent_amplitudes",
     "coherent_ladder",
     "displacement_operator",
     "coherent_wavefunction",
@@ -27,14 +26,10 @@ __all__ = [
 ]
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Amplitudes a^n / sqrt(n!), renormalized on the dim-level basis."""
-    return log_series(-0.5 * log_gamma(np.arange(dim) + 1.0), alpha)
-
-
 def coherent_ladder(alpha: complex, dim: int) -> FockState:
-    """Coherent state by direct summation, renormalized on the basis."""
-    return FockState(coherent_amplitudes(alpha, dim))
+    """Coherent state by direct summation: amplitudes alpha^n / sqrt(n!),
+    renormalized on the dim-level basis."""
+    return FockState(log_series(-0.5 * log_gamma(np.arange(dim) + 1.0), alpha))
 
 
 def displacement_operator(alpha: complex, dim: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Exponential-phase operators and the ladder algebras built on them.
 
 The one-sided shift G- (entries 1 on the superdiagonal) plays the role of
-e^{i phi}; its defect of unitarity is the vacuum projector.  Number-weighted
-versions R+- and their m-step generalizations Omega_m close su(1,1)-type
-commutation relations on interior projectors.
+e^{i phi}; its defect of unitarity is the vacuum projector.  The
+number-weighted m-step ladders Omega_m, with R+- = Omega_1+- the one-step
+case, close su(1,1)-type commutation relations on interior projectors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "OmegaLadder",
     "build_phase_set",
     "number_phase_uncertainty",
-    "build_R_ops",
     "build_omega_ops",
     "phase_squeezed_vacuum",
 ]
@@ -36,7 +35,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseOperatorSet:
-    dim: int
     gamma_minus: np.ndarray
     gamma_plus: np.ndarray
 
@@ -61,7 +59,7 @@ def build_phase_set(dim: int) -> PhaseOperatorSet:
     if dim < 3:
         raise ValueError("dim must be at least 3")
     gm = _shift_down(dim)
-    return PhaseOperatorSet(dim, gm, gm.conj().T)
+    return PhaseOperatorSet(gm, gm.conj().T)
 
 
 def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
@@ -78,20 +76,14 @@ def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
     return d_cos * d_n, abs(mean_sin) / 2.0, d_sin * d_n, abs(mean_cos) / 2.0
 
 
-def build_R_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number-weighted shifts R+|n> = (n+1)|n+1>, R-|n> = n|n-1>."""
-    ops = build_phase_set(dim)
-    n_op = number_operator(dim)
-    return n_op @ ops.gamma_plus, ops.gamma_minus @ n_op
-
-
 def _check_step(m: int, dim: int) -> None:
     if not 1 <= m <= dim // 4:
         raise ValueError("ladder step m out of range for this dim")
 
 
 def build_omega_ops(m: int, dim: int) -> OmegaLadder:
-    """m-step ladder Omega_m-|n> = n|n-m>, built as (G-)^m N.
+    """m-step ladder Omega_m-|n> = n|n-m>, built as (G-)^m N; m = 1 gives
+    the number-weighted shifts R+|n> = (n+1)|n+1>, R-|n> = n|n-1>.
 
     The other ordering of the definition, (N + m)(G-)^m, gives the same
     matrix entry for entry; the tests hold the two against each other.

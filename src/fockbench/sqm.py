@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import coherent_amplitudes
+from .coherent import coherent_ladder
 from .fock import GridWavefunction, build_ladder, fock_basis_state, ladder_exp_action
 from .squeezing import squeeze_action
 
@@ -29,8 +29,7 @@ __all__ = [
     "modal_coherent_coeffs",
     "modal_squeezed_coeffs",
     "modal_eigen_residual",
-    "lambda_coherent",
-    "lambda_squeezed",
+    "assemble",
 ]
 
 GRID_MIN = -10.0
@@ -170,7 +169,7 @@ def spectral_check(family: IsospectralFamily, n_levels: int) -> list[float]:
 def modal_coherent_coeffs(z: complex, n_levels: int) -> np.ndarray:
     if abs(z) ** 2 + 6.0 * abs(z) > n_levels:
         raise ValueError("modal tail does not fit in the level budget")
-    return coherent_amplitudes(z, n_levels)
+    return coherent_ladder(z, n_levels).amps
 
 
 def modal_squeezed_coeffs(xi: complex, z: complex, n_levels: int) -> np.ndarray:
@@ -188,19 +187,11 @@ def modal_eigen_residual(coeffs: np.ndarray, z: complex) -> float:
     return float(np.linalg.norm(a @ coeffs - z * coeffs))
 
 
-def _assemble(family: IsospectralFamily, coeffs: np.ndarray, n_levels: int) -> GridWavefunction:
-    chis = chi_states(family, n_levels)
+def assemble(family: IsospectralFamily, coeffs: np.ndarray) -> GridWavefunction:
+    """The grid wavefunction sum_n coeffs[n] chi_n, one term per modal
+    coefficient, renormalized on the grid."""
+    chis = chi_states(family, coeffs.size)
     values = np.zeros(family.xs.size, dtype=complex)
     for c, chi in zip(coeffs, chis):
         values += c * chi.values
     return GridWavefunction(family.xs[0], family.dx, values).normalized()
-
-
-def lambda_coherent(z: complex, family: IsospectralFamily, n_levels: int) -> GridWavefunction:
-    return _assemble(family, modal_coherent_coeffs(z, n_levels), n_levels)
-
-
-def lambda_squeezed(
-    xi: complex, z: complex, family: IsospectralFamily, n_levels: int
-) -> GridWavefunction:
-    return _assemble(family, modal_squeezed_coeffs(xi, z, n_levels), n_levels)

@@ -1,8 +1,8 @@
 """Single-mode and two-mode squeezing.
 
 Single mode: S = exp((xi a+^2 - xi* a^2)/2) with xi = r e^{i phi}, its
-closed-form vacuum expansion, the hyperbolic vacuum built from a+^2 and the
-vacuum moment recurrence.
+closed-form vacuum expansion (at phi = 0 also the hyperbolic theta-vacuum)
+and the vacuum moment recurrence.
 
 Two mode: the pair generator a1 a2, its disentangled form through the
 general SU(1,1) splitting, Schmidt and noise diagnostics, the two-boson
@@ -40,7 +40,6 @@ from .twomode import (
     charge_sectors,
     ladders_banded,
     number_diagonals,
-    pair_ladder,
 )
 
 __all__ = [
@@ -53,13 +52,11 @@ __all__ = [
     "squeezed_vacuum_closed_form",
     "squeeze_operator_factored",
     "squeezed_wavefunction",
-    "theta_vacuum",
     "theta_vacuum_residual",
     "vacuum_moment_u",
     "vacuum_moment_closed_form",
     "su11_disentangle_general",
     "disentangle_identity_residual",
-    "two_mode_squeezed_vacuum",
     "schmidt_profile",
     "two_mode_theta_vacuum",
     "two_mode_noise_report",
@@ -126,23 +123,21 @@ def squeezed_vacuum(r: float, phi: float, dim: int) -> FockState:
     return FockState(squeeze_action(xi, fock_basis_state(dim, 0).amps)).normalized()
 
 
-def _even_ket(ratio: complex, dim: int) -> FockState:
-    """Unit ket with amps_{2j} proportional to ratio^j sqrt((2j)!)/j!,
-    the expansion of exp(ratio a+^2)|0> on dim levels."""
+def squeezed_vacuum_closed_form(r: float, phi: float, dim: int) -> FockState:
+    """Even-ket expansion exp(ratio a+^2)|0> of the squeezed vacuum,
+    renormalized on the dim-level basis; at phi = 0 and r of either sign,
+    the theta-vacuum, annihilated by a cosh r - a+ sinh r.
+
+    amps_{2j} is proportional to ratio^j sqrt((2j)!)/j! with ratio =
+    e^{i phi} tanh r / 2.  The factor 2^{-j} is required for the expansion
+    to reproduce the exponential construction; see the uncertainty and
+    fidelity tests.
+    """
     js = np.arange((dim + 1) // 2)
     amps = np.zeros(dim, dtype=complex)
+    ratio = np.tanh(r) / 2.0 * np.exp(1j * phi)
     amps[::2] = log_series(0.5 * log_gamma(2.0 * js + 1.0) - log_gamma(js + 1.0), ratio)
     return FockState(amps)
-
-
-def squeezed_vacuum_closed_form(r: float, phi: float, dim: int) -> FockState:
-    """Even-ket expansion of the squeezed vacuum.
-
-    amps_{2j} is proportional to (e^{i phi} tanh r / 2)^j sqrt((2j)!)/j!.
-    The factor 2^{-j} is required for the expansion to reproduce the
-    exponential construction; see the uncertainty and fidelity tests.
-    """
-    return _even_ket(np.tanh(r) / 2.0 * np.exp(1j * phi), dim)
 
 
 def squeeze_operator_factored(xi: complex, dim: int) -> np.ndarray:
@@ -170,17 +165,9 @@ def squeezed_wavefunction(s: float, x0: float, p0: float, xs: np.ndarray) -> Gri
     return GridWavefunction(float(xs[0]), dx, psi).normalized()
 
 
-def theta_vacuum(theta: float, dim: int) -> FockState:
-    """Vacuum of the hyperbolically rotated mode a cosh t - a+ sinh t.
-
-    Built from the up-exponential exp((tanh t / 2) a+^2)|0> term by term
-    and renormalized on the basis, like the squeezed vacuum.
-    """
-    return _even_ket(np.tanh(theta) / 2.0, dim)
-
-
 def theta_vacuum_residual(theta: float, dim: int) -> float:
-    state = theta_vacuum(theta, dim)
+    """Norm of (a cosh t - a+ sinh t) applied to the theta-vacuum."""
+    state = squeezed_vacuum_closed_form(theta, 0.0, dim)
     a, adag = build_ladder(dim)
     rotated = np.cosh(theta) * a - np.sinh(theta) * adag
     return float(np.linalg.norm(rotated @ state.amps))
@@ -278,15 +265,6 @@ def disentangle_identity_residual(
 
 
 # ------------------------------------------------------------------ two mode
-
-
-def two_mode_squeezed_vacuum(s: float, dims: tuple[int, int]) -> TwoModeState:
-    """exp((s/2)(a1 a2 - a1+ a2+)) |0,0> on the pair ladder chain."""
-    weights, step = pair_ladder(*dims)
-    vac = np.zeros(weights.size, dtype=complex)
-    vac[0] = 1.0
-    out = ladder_exp_action(weights, step, -s / 2.0, vac)
-    return TwoModeState(out.reshape(dims)).normalized()
 
 
 def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:

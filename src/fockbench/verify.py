@@ -248,8 +248,8 @@ def suite_phase(dim) -> list[Check]:
     )
     checks.append(Check("unitarity defect is the vacuum projector", defect, 0.0))
 
-    r_plus, r_minus = ph.build_R_ops(dim)
-    n_op = number_operator(dim)
+    r = ph.build_omega_ops(1, dim)  # R+- = Omega_1+-
+    r_plus, r_minus, n_op = r.omega_plus, r.omega_minus, number_operator(dim)
     comm = max_abs_interior(r_minus @ r_plus - r_plus @ r_minus - 2 * n_op - eye, dim - 2)
     checks.append(Check("number-shift ladder commutator", comm, 1e-12))
     worst = 0.0
@@ -332,7 +332,7 @@ def suite_single_squeeze(dim) -> list[Check]:
 def suite_two_squeeze(theta, dim) -> list[Check]:
     checks = []
     # a pinned dim truncates the theta state only, not the s = 1 pair vacuum
-    tm = sq.two_mode_squeezed_vacuum(1.0, (40, 40))
+    tm = su11.two_mode_perelomov(-0.5, 0, 40)  # exp((a1 a2 - a1+ a2+) / 2)|0,0>
     prof = sq.schmidt_profile(tm)
     checks.append(Check("pair-diagonal support", abs(prof["off_diagonal_mass"]), 1e-12))
     checks.append(Check("geometric ratio constancy", prof["ratio_spread"], 1e-8))

@@ -30,7 +30,6 @@ from fockbench.fock import (
 from fockbench.phase import (
     build_omega_ops,
     build_phase_set,
-    build_R_ops,
     omega_commutator_defect,
     phase_squeeze_closed_form,
     phase_squeezed_vacuum,
@@ -45,7 +44,6 @@ from fockbench.squeezing import (
     su11_disentangle_general,
     theta_vacuum_residual,
     two_mode_noise_report,
-    two_mode_squeezed_vacuum,
     two_mode_theta_vacuum,
     vacuum_moment_closed_form,
     vacuum_moment_u,
@@ -67,6 +65,7 @@ from fockbench.su11 import (
     perelomov_exponential,
     perelomov_nonlinear_residual,
     perelomov_state,
+    two_mode_perelomov,
 )
 
 from coherent_reference import displacement_compose
@@ -225,7 +224,8 @@ def test_criterion_08_phase_operator_algebra():
     exact = np.array_equal(
         product[: dim - 1, : dim - 1], np.eye(dim - 1, dtype=complex)
     )
-    r_plus, r_minus = build_R_ops(dim)
+    r = build_omega_ops(1, dim)  # R+- = Omega_1+-
+    r_plus, r_minus = r.omega_plus, r.omega_minus
     n_op = number_operator(dim)
     r_comm = float(
         np.abs(
@@ -345,7 +345,8 @@ def test_criterion_11_two_mode_squeezing():
     dims = (48, 48)
     worst_off = worst_spread = worst_cross = worst_margin = worst_fact = 0.0
     for theta in (0.2, 0.5, 1.0):
-        pair_state = two_mode_squeezed_vacuum(2.0 * theta, dims)
+        # the pair vacuum exp(theta (a1 a2 - a1+ a2+))|0,0>
+        pair_state = two_mode_perelomov(-theta, 0, dims[0])
         # ratios are read above an amplitude floor of 1e-2: diagonal
         # entries closer to the truncation edge pick up tanh^{2(N-n)}
         # couplings that have nothing to do with the geometric law

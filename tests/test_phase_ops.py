@@ -8,7 +8,6 @@ from fockbench.fock import FockState, fock_basis_state, number_operator
 from fockbench.phase import (
     build_omega_ops,
     build_phase_set,
-    build_R_ops,
     number_phase_uncertainty,
     omega_commutator_defect,
     phase_squeeze_closed_form,
@@ -52,7 +51,8 @@ def test_trig_operators_hermitian_and_bounded():
 
 def test_number_shift_ladder_commutator():
     dim = 64
-    r_plus, r_minus = build_R_ops(dim)
+    r = build_omega_ops(1, dim)  # R+- = Omega_1+-
+    r_plus, r_minus = r.omega_plus, r.omega_minus
     n_op = number_operator(dim)
     comm = r_minus @ r_plus - r_plus @ r_minus
     target = 2.0 * n_op + np.eye(dim)
@@ -159,12 +159,14 @@ def test_ladder_unitary_matches_geometric_profile(m):
     assert closed.fidelity(oracle) >= 1.0 - 1e-12
 
 
-@pytest.mark.parametrize("dim", [3, 16, 64])
+# R+- is Omega_1+-, which needs dim >= 4
+@pytest.mark.parametrize("dim", [4, 16, 64])
 def test_number_shift_factorizations_agree(dim):
     ops = build_phase_set(dim)
     n_op = number_operator(dim)
     one = np.eye(dim)
-    r_plus, r_minus = build_R_ops(dim)
+    r = build_omega_ops(1, dim)
+    r_plus, r_minus = r.omega_plus, r.omega_minus
     assert np.array_equal(r_plus, n_op @ ops.gamma_plus)
     assert np.array_equal(r_plus, ops.gamma_plus @ (n_op + one))
     assert np.array_equal(r_minus, ops.gamma_minus @ n_op)

@@ -11,12 +11,11 @@ from scipy.linalg import eigh_tridiagonal
 from fockbench.fock import FockState, GridWavefunction, quadrature_report
 from fockbench.sqm import (
     MAX_LEVELS,
+    assemble,
     build_family,
     chi_states,
     deformed_potential,
     hermite_levels,
-    lambda_coherent,
-    lambda_squeezed,
     modal_coherent_coeffs,
     modal_eigen_residual,
     modal_squeezed_coeffs,
@@ -164,12 +163,12 @@ def test_modal_squeezed_state():
 
 def test_assembled_states_are_grid_normalized():
     fam = build_family(1.0)
-    wf = lambda_coherent(0.5, fam, MAX_LEVELS)
+    wf = assemble(fam, modal_coherent_coeffs(0.5, MAX_LEVELS))
     assert abs(wf.norm - 1.0) <= 1e-10
-    wf2 = lambda_squeezed(0.25, 0.3, fam, MAX_LEVELS)
+    wf2 = assemble(fam, modal_squeezed_coeffs(0.25, 0.3, MAX_LEVELS))
     assert abs(wf2.norm - 1.0) <= 1e-10
     # different deformations share the modal profile but not the shape
-    other = lambda_coherent(0.5, build_family(5.0), MAX_LEVELS)
+    other = assemble(build_family(5.0), modal_coherent_coeffs(0.5, MAX_LEVELS))
     assert wf.l2_distance(other) >= 1e-3
 
 

@@ -16,7 +16,6 @@ from fockbench.squeezing import (
     squeezed_vacuum_closed_form,
     squeezed_wavefunction,
     su11_disentangle_general,
-    theta_vacuum,
     theta_vacuum_residual,
     vacuum_moment_closed_form,
     vacuum_moment_u,
@@ -126,7 +125,7 @@ def test_theta_vacuum_is_annihilated():
 
 
 def test_theta_vacuum_even_geometric_profile():
-    st = theta_vacuum(0.6, 96)
+    st = squeezed_vacuum_closed_form(0.6, 0.0, 96)  # the theta-vacuum
     probs = np.abs(st.amps) ** 2
     assert np.abs(st.amps[1::2]).max() == 0.0
     ratio = probs[4] / probs[2]

@@ -12,10 +12,9 @@ from fockbench.squeezing import (
     schmidt_profile,
     su11_disentangle_general,
     two_mode_noise_report,
-    two_mode_squeezed_vacuum,
     two_mode_theta_vacuum,
 )
-from fockbench.su11 import pair_coherent, parity_pair_state
+from fockbench.su11 import pair_coherent, parity_pair_state, two_mode_perelomov
 from fockbench.twomode import (
     band_adjoint,
     band_apply,
@@ -55,7 +54,8 @@ def test_ladders_commute_across_modes():
 
 
 def test_pair_vacuum_is_schmidt_diagonal():
-    st = two_mode_squeezed_vacuum(1.0, (40, 40))
+    # the s = 1 pair vacuum exp((a1 a2 - a1+ a2+) / 2)|0,0>
+    st = two_mode_perelomov(-0.5, 0, 40)
     prof = schmidt_profile(st)
     assert prof["off_diagonal_mass"] <= 1e-12
     assert prof["ratio_spread"] <= 1e-8
@@ -67,7 +67,7 @@ def test_pair_vacuum_ratios_keep_relative_accuracy():
     # the ratios divide diagonal amplitudes that fall to the 1e-4 floor, so
     # they read the exponential's relative, not absolute, error there; an
     # SVD of the lower-bidiagonal coupling block gives a spread of 2.2e-12
-    prof = schmidt_profile(two_mode_squeezed_vacuum(1.0, (40, 40)))
+    prof = schmidt_profile(two_mode_perelomov(-0.5, 0, 40))
     assert prof["ratio_spread"] <= 1e-13
 
 
@@ -76,7 +76,7 @@ def test_theta_vacuum_profile_is_geometric():
     diag = np.diagonal(st.amps)
     tau = np.tanh(0.5)
     assert np.abs(diag[1:] / diag[:-1] - tau).max() <= 1e-12
-    assert st.fidelity(two_mode_squeezed_vacuum(-1.0, (32, 32))) >= 1.0 - 1e-10
+    assert st.fidelity(two_mode_perelomov(0.5, 0, 32)) >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.5, 1.0])
