@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import io
 import json
 import math
@@ -151,8 +152,10 @@ def _float_arg(text: str) -> float:
     return value
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and for each subcommand its actions by destination."""
+@functools.lru_cache(maxsize=None)
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, frozenset]:
+    """The parser, for each subcommand its actions by destination, and the
+    flags that take a number; built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dim", type=int, default=None, help="Fock truncation")
     common.add_argument("--config", default=None, help="key=value file with defaults")
@@ -194,7 +197,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_wave.add_argument("--x-max", type=_float_arg, default=None, dest="x_max")
     p_wave.add_argument("--points", type=int, default=None)
     options = {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
-    return parser, options
+    numeric = (int, _float_arg, _complex_arg)
+    flags = frozenset(
+        flag
+        for actions in options.values()
+        for action in actions.values()
+        if action.type in numeric
+        for flag in action.option_strings
+    )
+    return parser, options, flags
 
 
 def _config_value(action: argparse.Action, text: str, where: str):
@@ -636,17 +647,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, options = _build_parser()
+    parser, options, flags = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes "-0.7+0.3j" or "-1e-1" for an option: attach it to its flag
-    numeric = (int, _float_arg, _complex_arg)
-    flags = {
-        flag
-        for actions in options.values()
-        for action in actions.values()
-        if action.type in numeric
-        for flag in action.option_strings
-    }
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in flags and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]

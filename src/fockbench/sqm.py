@@ -10,7 +10,9 @@ ordinary ladder matrix, which has identical matrix elements there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -130,6 +132,52 @@ def deformed_potential(family: IsospectralFamily) -> np.ndarray:
     return 0.5 * (w_hat * w_hat - w_hat_prime) + 0.5
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_lapack():
+    """dstebz and dstein of the OpenBLAS in numpy's wheel, taking and
+    returning what scipy.linalg.lapack's do; None for a numpy build
+    without that library or its symbols."""
+    import ctypes
+
+    try:
+        libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")
+        lib = ctypes.CDLL(str(next(libs)))
+        stebz, stein = lib.scipy_dstebz_64_, lib.scipy_dstein_64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    # Fortran: ILP64 integers, all by reference; dstebz ends with the
+    # hidden lengths of its RANGE and ORDER strings
+    stebz.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 16 + [ctypes.c_size_t] * 2
+    stein.argtypes = [ctypes.c_void_p] * 13
+    stebz.restype = stein.restype = None
+
+    def ptr(*arrays):
+        return [a.ctypes.data for a in arrays]
+
+    def dstebz(d, e, range_, vl, vu, il, iu, tol, order):
+        n = d.size
+        ints, reals = np.array([n, il, iu, 0, 0, 0], dtype=np.int64), np.array([vl, vu, tol])
+        n_, il_, iu_, m, nsplit, info = (ints.ctypes.data + 8 * k for k in range(6))
+        vl_, vu_, abstol = (reals.ctypes.data + 8 * k for k in range(3))
+        w, work = np.empty(n), np.empty(4 * n)
+        iblock, isplit, iwork = (np.empty(k, dtype=np.int64) for k in (n, n, 3 * n))
+        stebz(b"AVI"[range_:range_ + 1], order.encode(), n_, vl_, vu_, il_, iu_, abstol,
+              *ptr(d, e), m, nsplit, *ptr(w, iblock, isplit, work, iwork), info, 1, 1)
+        return int(ints[3]), w, iblock, isplit, int(ints[5])
+
+    def dstein(d, e, w, iblock, isplit):
+        n, m = d.size, w.size
+        ints = np.array([n, m, 0], dtype=np.int64)
+        n_, m_, info = (ints.ctypes.data + 8 * k for k in range(3))
+        # row j of this C-ordered (m, n) buffer is column j of the Fortran (n, m) result
+        z, work = np.empty((m, n)), np.empty(5 * n)
+        iwork, ifail = np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64)
+        stein(n_, *ptr(d, e), m_, *ptr(w, iblock, isplit, z), n_, *ptr(work, iwork, ifail), info)
+        return z.T, int(ints[2])
+
+    return dstebz, dstein
+
+
 def spectral_check(family: IsospectralFamily, n_levels: int) -> list[float]:
     """Residuals of the low deformed spectrum against n + 1/2, from the
     finite-difference Hamiltonian T, tridiagonal on the grid.
@@ -141,8 +189,11 @@ def spectral_check(family: IsospectralFamily, n_levels: int) -> list[float]:
     the Rayleigh quotient v^T T v, applied in O(n).  A tolerance coarser
     than 1e-2 leaves more than roundoff in the quotient.
     """
-    from scipy.linalg.lapack import dstebz, dstein
-
+    lapack = _bundled_lapack()
+    if lapack is None:
+        from scipy.linalg.lapack import dstebz, dstein
+    else:
+        dstebz, dstein = lapack
     dx = family.dx
     diag = 1.0 / (dx * dx) + deformed_potential(family)
     off = np.full(family.xs.size - 1, -0.5 / (dx * dx))

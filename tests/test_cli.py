@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fockbench import coherent as co
-from fockbench.cli import _emit_json, main
+from fockbench import sqm
+from fockbench.cli import _build_parser, _emit_json, main
 from fockbench.sqm import build_family
 from fockbench.verify import INPUTS, SUITES
 
@@ -292,7 +293,10 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 
 
 def test_exponential_commands_load_no_scipy(tmp_path):
-    code = """
+    # the sqm suite takes its LAPACK from numpy's bundled OpenBLAS; a numpy
+    # build without that library falls back to scipy, so it is left out there
+    sqm_argv = '["verify", "--suite", "sqm"],' if sqm._bundled_lapack() is not None else ""
+    code = f"""
 import sys
 from fockbench.cli import main
 for argv in (
@@ -310,6 +314,7 @@ for argv in (
     ["verify", "--suite", "two-squeeze"],
     ["verify", "--suite", "phase"],
     ["verify", "--suite", "factorization"],
+    {sqm_argv}
 ):
     assert main(argv + ["--out", sys.argv[1]]) == 0, argv
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
@@ -318,6 +323,39 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(sqm._bundled_lapack() is None, reason="numpy bundles no OpenBLAS here")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sqm_artifact_is_byte_identical_on_both_lapack_routes(fmt, tmp_path, monkeypatch):
+    bundled, scipy_route = tmp_path / "bundled", tmp_path / "scipy"
+    assert run_cli("verify", "--suite", "sqm", "--format", fmt, "--out", str(bundled)) == 0
+    monkeypatch.setattr(sqm, "_bundled_lapack", lambda: None)
+    assert run_cli("verify", "--suite", "sqm", "--format", fmt, "--out", str(scipy_route)) == 0
+    assert bundled.read_bytes() == scipy_route.read_bytes()
+
+
+def test_one_parser_serves_successive_commands_as_fresh_runs(tmp_path, capsys):
+    # the parser is built once per process: a command after a parse error
+    # behaves as it does in an interpreter of its own
+    runs = [
+        ["state", "--family", "squeezed", "--r", "0.5", "--phi", "-0.3", "--dim", "16"],
+        ["state", "--family", "nonsense", "--dim", "16"],
+        ["sweep", "--family", "coherent", "--param", "t", "--start", "0", "--stop", "1",
+         "--steps", "3", "--alpha", "-1e-1+0.5j", "--dim", "8"],
+    ]
+    assert _build_parser() is _build_parser()
+    for i, argv in enumerate(runs):
+        out, fresh = tmp_path / f"same{i}", tmp_path / f"fresh{i}"
+        code = run_cli(*argv, "--out", str(out))
+        err = capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "fockbench.cli", *argv, "--out", str(fresh)],
+                              capture_output=True, text=True)
+        assert (code, err) == (proc.returncode, proc.stderr), argv
+        assert out.exists() == fresh.exists()
+        if out.exists():
+            assert out.read_bytes() == fresh.read_bytes()
+    assert [p.name for p in sorted(tmp_path.iterdir())] == ["fresh0", "fresh2", "same0", "same2"]
 
 
 @pytest.mark.parametrize(

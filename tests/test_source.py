@@ -1,7 +1,7 @@
 """Every function in the package is reached from the package itself,
-every dataclass field is read there, scipy is imported only where it is
-used, never at module level, and each verify suite takes exactly the
-inputs its record declares."""
+every dataclass field is read there, scipy and ctypes are imported only
+where they are used, never at module level, and each verify suite takes
+exactly the inputs its record declares."""
 
 import ast
 import inspect
@@ -83,9 +83,9 @@ def test_every_dataclass_field_is_read_in_the_package():
     assert [(cls, name) for cls, name in fields if name not in read] == []
 
 
-def _scipy_imports():
+def _imports(package):
     """(module file, imported name, whether outside every function) for
-    each import of scipy or a scipy submodule in the package."""
+    each import of `package` or one of its submodules in the package."""
     found = []
 
     def visit(node, path, in_function):
@@ -96,7 +96,7 @@ def _scipy_imports():
         else:
             names = []
         found.extend((path.name, name, not in_function) for name in names
-                     if name == "scipy" or name.startswith("scipy."))
+                     if name == package or name.startswith(package + "."))
         in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for child in ast.iter_child_nodes(node):
             visit(child, path, in_function)
@@ -107,10 +107,20 @@ def _scipy_imports():
 
 
 def test_scipy_is_imported_inside_functions_only_and_never_sparse():
-    found = _scipy_imports()
-    assert found, "the scan finds the lazy LAPACK import of sqm.spectral_check"
+    found = _imports("scipy")
+    assert found, ("the scan finds the one scipy import left: the LAPACK fallback "
+                   "inside sqm.spectral_check, for numpy builds without a bundled OpenBLAS")
+    assert {f[0] for f in found} == {"sqm.py"}
     assert not [f for f in found if f[2]], "module-level scipy import"
     assert not [f for f in found if f[1].startswith("scipy.sparse")]
+
+
+def test_ctypes_is_imported_inside_functions_only():
+    # only sqm's LAPACK loader needs ctypes, so commands that never reach it
+    # do not import it for the package (numpy may still load it for itself)
+    found = _imports("ctypes")
+    assert found, "the scan finds the lazy import of sqm's LAPACK loader"
+    assert not [f for f in found if f[2]], "module-level ctypes import"
 
 
 def test_each_suite_takes_exactly_its_record_inputs():

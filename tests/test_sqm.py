@@ -1,16 +1,21 @@
 """Isospectral deformation of the oscillator on a spatial grid."""
 
+import ctypes
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg.lapack import dstein
 
+from fockbench import sqm
 from fockbench.fock import FockState, GridWavefunction, quadrature_report
 from fockbench.sqm import (
     MAX_LEVELS,
+    IsospectralFamily,
     assemble,
     build_family,
     chi_states,
@@ -124,6 +129,79 @@ def test_spectral_check_matches_full_precision_eigenvalues(lam):
     )
     want = np.abs(vals - (np.arange(6) + 0.5))
     assert np.abs(np.array(spectral_check(fam, 6)) - want).max() <= 1e-11
+
+
+BUNDLED = sqm._bundled_lapack()
+needs_bundled = pytest.mark.skipif(BUNDLED is None, reason="numpy bundles no OpenBLAS here")
+
+
+def _route(monkeypatch, bundled):
+    """Send spectral_check to numpy's bundled OpenBLAS or to scipy's LAPACK."""
+    monkeypatch.setattr(sqm, "_bundled_lapack", lambda: BUNDLED if bundled else None)
+
+
+@needs_bundled
+@pytest.mark.parametrize("n_levels", [1, 6, 12])
+@pytest.mark.parametrize("lam", [-2.0, 0.3, 1.0, 5.0, 1e6])
+def test_spectral_check_is_bitwise_equal_on_both_lapack_routes(lam, n_levels, monkeypatch):
+    fam = build_family(lam)
+    _route(monkeypatch, True)
+    bundled = np.array(spectral_check(fam, n_levels))
+    _route(monkeypatch, False)
+    scipy_route = np.array(spectral_check(fam, n_levels))
+    assert np.array_equal(bundled.view(np.uint64), scipy_route.view(np.uint64))
+
+
+@needs_bundled
+def test_bundled_eigenvectors_keep_scipys_layout():
+    # an (n, m) Fortran-ordered array, so the Rayleigh quotient sums in scipy's order
+    fam = build_family(1.0)
+    dx = fam.dx
+    diag = 1.0 / (dx * dx) + deformed_potential(fam)
+    off = np.full(fam.xs.size - 1, -0.5 / (dx * dx))
+    dstebz, bundled_dstein = BUNDLED
+    found, approx, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 6, 1e-2, "B")
+    assert (found, info) == (6, 0)
+    got, info = bundled_dstein(diag, off, approx[:6], iblock, isplit)
+    want, want_info = dstein(diag, off, approx[:6], iblock, isplit)
+    assert info == want_info == 0
+    assert got.shape == want.shape == (fam.xs.size, 6)
+    assert got.flags.f_contiguous and want.flags.f_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("missing", ["directory", "library", "symbol"])
+def test_a_missing_library_or_symbol_falls_back_to_scipy(missing, tmp_path, monkeypatch):
+    if missing == "directory":  # a numpy that bundles no numpy.libs
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    elif missing == "library":
+        monkeypatch.setattr(ctypes, "CDLL", _no_library)
+    else:  # a library that exports dstebz but not dstein
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(
+            scipy_dstebz_64_=real(path).scipy_dstebz_64_))
+    loader = sqm._bundled_lapack.__wrapped__
+    assert loader() is None
+    monkeypatch.setattr(sqm, "_bundled_lapack", loader)
+    calls = []
+    monkeypatch.setattr(lapack, "dstein", lambda *args: calls.append(args) or dstein(*args))
+    assert max(spectral_check(build_family(1.0), 6)) <= 1e-3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bundled", [pytest.param(True, marks=needs_bundled), False])
+def test_more_levels_than_grid_points_raises_on_either_route(bundled, monkeypatch):
+    full = build_family(1.0)
+    keep = slice(995, 1000)
+    fam = IsospectralFamily(full.lam, full.xs[keep], full.psi0[keep], full.cumulative[keep],
+                            full.phi_lambda[keep])
+    _route(monkeypatch, bundled)
+    with pytest.raises(ArithmeticError, match=r"^bisection located 0 of 6 levels \(info -7\)$"):
+        spectral_check(fam, 6)
 
 
 def test_potential_differs_then_converges():
