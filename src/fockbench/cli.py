@@ -466,7 +466,7 @@ FAMILIES = {
     # quadrature report applies
     "perelomov": Family(
         ("k", "xi"),
-        lambda p, dim: su11.perelomov_state(su11.SU11Rep(p["k"], dim), p["xi"]),
+        lambda p, dim: su11.perelomov_state(p["k"], p["xi"], dim),
         None,
     ),
     "parity-pair": Family(

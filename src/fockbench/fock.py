@@ -20,6 +20,7 @@ __all__ = [
     "FockState",
     "TwoModeState",
     "GridWavefunction",
+    "ladder_matrix",
     "build_ladder",
     "build_quadratures",
     "number_operator",
@@ -155,12 +156,21 @@ def check_dim(*dims: int) -> None:
         raise ValueError("dim must be at least 2")
 
 
+def ladder_matrix(weights: np.ndarray, step: int) -> np.ndarray:
+    """Dense complex L with L[n - step, n] = weights[n]: the lowering operator
+    L|n> = weights[n]|n-step> that the exponential and moment routines take
+    as `(weights, step)`.  L+ is its conjugate transpose."""
+    weights = np.asarray(weights)
+    out = np.zeros((weights.size, weights.size), dtype=complex)
+    ns = np.arange(step, weights.size)
+    out[ns - step, ns] = weights[step:]
+    return out
+
+
 def build_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation matrices on a dim-dimensional basis."""
     check_dim(dim)
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
+    a = ladder_matrix(np.sqrt(np.arange(dim, dtype=float)), 1)
     return a, a.conj().T
 
 

@@ -8,14 +8,13 @@ case, close su(1,1)-type commutation relations on interior projectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import (
     FockState,
     fock_basis_state,
     ladder_exp_action,
+    ladder_matrix,
     ladder_moments,
     log_series,
     number_moments,
@@ -24,8 +23,6 @@ from .fock import (
 )
 
 __all__ = [
-    "PhaseOperatorSet",
-    "OmegaLadder",
     "build_phase_set",
     "number_phase_uncertainty",
     "build_omega_ops",
@@ -33,33 +30,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseOperatorSet:
-    gamma_minus: np.ndarray
-    gamma_plus: np.ndarray
-
-
-@dataclass(frozen=True)
-class OmegaLadder:
-    m: int
-    dim: int
-    omega_minus: np.ndarray
-    omega_plus: np.ndarray
-
-
-def _shift_down(dim: int) -> np.ndarray:
-    g = np.zeros((dim, dim), dtype=complex)
-    g[np.arange(dim - 1), np.arange(1, dim)] = 1.0
-    return g
-
-
-def build_phase_set(dim: int) -> PhaseOperatorSet:
-    """Phase operators G- and G+ = (G-)+; cos phi = (G+ + G-)/2 and
-    sin phi = (G+ - G-)/(2i) are their Hermitian combinations."""
+def build_phase_set(dim: int) -> np.ndarray:
+    """Phase operator G-, with G-|n> = |n-1>; cos phi = (G+ + G-)/2 and
+    sin phi = (G+ - G-)/(2i), for G+ = (G-)+, are its Hermitian combinations."""
     if dim < 3:
         raise ValueError("dim must be at least 3")
-    gm = _shift_down(dim)
-    return PhaseOperatorSet(gm, gm.conj().T)
+    return ladder_matrix(np.ones(dim), 1)
 
 
 def number_phase_uncertainty(s: FockState) -> tuple[float, float, float, float]:
@@ -81,30 +57,27 @@ def _check_step(m: int, dim: int) -> None:
         raise ValueError("ladder step m out of range for this dim")
 
 
-def build_omega_ops(m: int, dim: int) -> OmegaLadder:
-    """m-step ladder Omega_m-|n> = n|n-m>, built as (G-)^m N; m = 1 gives
-    the number-weighted shifts R+|n> = (n+1)|n+1>, R-|n> = n|n-1>.
+def build_omega_ops(m: int, dim: int) -> np.ndarray:
+    """m-step ladder Omega_m-|n> = n|n-m>, with Omega_m+ = (Omega_m-)+; m = 1
+    gives the number-weighted shifts R+|n> = (n+1)|n+1>, R-|n> = n|n-1>.
 
-    The other ordering of the definition, (N + m)(G-)^m, gives the same
-    matrix entry for entry; the tests hold the two against each other.
+    Both orderings of the definition, (G-)^m N and (N + m)(G-)^m, give the
+    same matrix entry for entry; the tests hold it against each.
     """
     _check_step(m, dim)
-    ops = build_phase_set(dim)
-    n_op = number_operator(dim)
-    gm_pow = np.linalg.matrix_power(ops.gamma_minus, m)
-    omega_minus = gm_pow @ n_op
-    return OmegaLadder(m, dim, omega_minus, omega_minus.conj().T)
+    return ladder_matrix(np.arange(dim, dtype=float), m)
 
 
-def omega_commutator_defect(ladder: OmegaLadder) -> float:
+def omega_commutator_defect(omega_minus: np.ndarray, m: int) -> float:
     """Interior defect of [Omega-, Omega+] = m(2N + m).
 
     The relation holds exactly for m <= n < dim - m.  The top m rows are
     clipped by truncation; rows 1..m-1 miss the down-then-up path because
     Omega- annihilates them, so both ends are excluded.
     """
-    m, dim = ladder.m, ladder.dim
-    comm = ladder.omega_minus @ ladder.omega_plus - ladder.omega_plus @ ladder.omega_minus
+    dim = omega_minus.shape[0]
+    omega_plus = omega_minus.conj().T
+    comm = omega_minus @ omega_plus - omega_plus @ omega_minus
     expected = m * (2.0 * number_operator(dim) + m * np.eye(dim))
     diff = comm - expected
     sl = slice(m, dim - m)

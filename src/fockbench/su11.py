@@ -8,22 +8,21 @@ charge sector: every ket is |n+q, n> for charge q = <a+a - b+b>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import (
     FockState,
     TwoModeState,
+    check_dim,
     fock_basis_state,
     ladder_exp_action,
+    ladder_matrix,
     log_gamma,
     log_series,
 )
 from .twomode import number_diagonals, pair_ladder
 
 __all__ = [
-    "SU11Rep",
     "su11_generators",
     "perelomov_state",
     "pair_coherent",
@@ -32,27 +31,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SU11Rep:
-    k: float
-    dim: int
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("Bargmann index must be positive")
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+def _check_rep(k: float, dim: int) -> None:
+    if k <= 0:
+        raise ValueError("Bargmann index must be positive")
+    check_dim(dim)
 
 
-def su11_generators(rep: SU11Rep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrices K+, K-, K0 with K+|k,n> = sqrt((n+1)(2k+n))|k,n+1>."""
-    dim, k = rep.dim, rep.k
-    kplus = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(dim - 1)
-    kplus[ns + 1, ns] = np.sqrt((ns + 1.0) * (2.0 * k + ns))
-    kminus = kplus.conj().T
+def _lowering_weights(k: float, dim: int) -> np.ndarray:
+    """K-|k,n> = sqrt(n(2k+n-1))|k,n-1> as the weights of a `(weights, 1)` ladder."""
+    _check_rep(k, dim)
+    ns = np.arange(dim, dtype=float)
+    return np.sqrt(ns * (2.0 * k + ns - 1.0))
+
+
+def su11_generators(k: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrices K+, K-, K0 of the discrete series with Bargmann index k."""
+    kminus = ladder_matrix(_lowering_weights(k, dim), 1)
     k0 = np.diag(k + np.arange(dim, dtype=float)).astype(complex)
-    return kplus, kminus, k0
+    return kminus.conj().T, kminus, k0
 
 
 def perelomov_kappa(xi: complex) -> complex:
@@ -62,25 +58,23 @@ def perelomov_kappa(xi: complex) -> complex:
     return xi * np.tanh(abs(xi)) / abs(xi)
 
 
-def perelomov_state(rep: SU11Rep, xi: complex) -> FockState:
+def perelomov_state(k: float, xi: complex, dim: int) -> FockState:
     """Lowest-weight coherent state in closed form.
 
     amps_j = (1-|kappa|^2)^k sqrt(Gamma(j+2k)/(j! Gamma(2k))) kappa^j,
     identical to applying exp(xi K+ - xi* K-) to |k,0>.
     """
+    _check_rep(k, dim)
     kappa = perelomov_kappa(xi)
     if abs(kappa) >= 1.0 - 1e-6:
         raise ValueError("coset parameter too close to the unit circle")
-    js = np.arange(rep.dim)
-    return FockState(log_series(0.5 * (log_gamma(js + 2.0 * rep.k) - log_gamma(js + 1.0)), kappa))
+    js = np.arange(dim)
+    return FockState(log_series(0.5 * (log_gamma(js + 2.0 * k) - log_gamma(js + 1.0)), kappa))
 
 
-def perelomov_exponential(rep: SU11Rep, xi: complex) -> FockState:
-    """Same state by exponentiating the truncated generator (oracle
-    route), with K-|k,n> = sqrt(n(2k+n-1))|k,n-1>."""
-    ns = np.arange(rep.dim, dtype=float)
-    weights = np.sqrt(ns * (2.0 * rep.k + ns - 1.0))
-    out = ladder_exp_action(weights, 1, xi, fock_basis_state(rep.dim, 0).amps)
+def perelomov_exponential(k: float, xi: complex, dim: int) -> FockState:
+    """Same state by exponentiating the truncated generator (oracle route)."""
+    out = ladder_exp_action(_lowering_weights(k, dim), 1, xi, fock_basis_state(dim, 0).amps)
     return FockState(out).normalized()
 
 

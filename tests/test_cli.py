@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,30 @@ from fockbench.verify import INPUTS, SUITES
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@dataclasses.dataclass(frozen=True)
+class Run:
+    code: int
+    out: str
+    err: list[str]
+    wrote: bool  # whether the --out file exists afterwards
+    warnings: list[str]
+
+
+def run_main(*argv, out=None) -> Run:
+    """`main(argv)` in this process, with `--out out` when `out` is given.
+    Warnings are recorded instead of raised, so a test can assert that none
+    was issued, where a fresh process would have printed it to stderr."""
+    if out is not None:
+        argv = (*argv, "--out", str(out))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return Run(code, stdout.getvalue(), stderr.getvalue().splitlines(),
+               out is not None and Path(out).exists(), [str(w.message) for w in caught])
 
 
 def test_state_json_layout(tmp_path, capsys):
@@ -157,16 +183,19 @@ def test_verify_csv_has_four_fields_per_row(suite, capsys):
     assert len(table) > 1 and all(len(row) == 4 for row in table)
 
 
-def test_overflow_in_a_suite_is_a_usage_error():
-    # a subprocess, because numpy's overflow warning is an error under pytest
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockbench.cli", "verify", "--suite", "coherent",
-         "--alpha", "1e200"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+def test_overflow_in_a_suite_is_a_usage_error(monkeypatch, tmp_path):
+    # no pinned input inside a suite's declared range overflows (each range
+    # edge exits 0 or 1 with no warning), so the suite itself is made to raise
+    for error in (OverflowError("(34, 'Numerical result out of range')"),
+                  FloatingPointError("overflow encountered in multiply")):
+        def overflowing(error=error, **inputs):
+            raise error
+
+        monkeypatch.setitem(SUITES, "coherent", overflowing)
+        run = run_main("verify", "--suite", "coherent", out=tmp_path / "out")
+        assert run.code == 2
+        assert [line for line in run.err if line.startswith("error:")] == [f"error: {error}"]
+        assert not run.wrote and not run.warnings
 
 
 def test_verify_artifact_deterministic(tmp_path):
@@ -368,14 +397,10 @@ def test_one_parser_serves_successive_commands_as_fresh_runs(tmp_path, capsys):
 )
 def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_path):
     # one error line and no numpy warning: the range is checked before the suite runs
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockbench.cli", "verify", "--suite", suite, flag, value,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
+    run = run_main("verify", "--suite", suite, flag, value, out=tmp_path / "out")
+    assert run.code == 2
+    assert len(run.err) == 1 and run.err[0].startswith(f"error: {flag} ")
+    assert not run.warnings
 
 
 @pytest.mark.parametrize(
@@ -392,13 +417,10 @@ def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_pat
     ],
 )
 def test_pinned_dim_below_a_suite_minimum_is_named(suite, dim, code, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockbench.cli", "verify", "--suite", suite, "--dim", dim,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == code
-    lines = [l for l in proc.stderr.splitlines() if not l.startswith("# suite ")]
+    run = run_main("verify", "--suite", suite, "--dim", dim, out=tmp_path / "out")
+    assert run.code == code
+    assert not run.warnings
+    lines = [l for l in run.err if not l.startswith("# suite ")]
     if code == 2:
         minimum = INPUTS[suite]["dim"][1]
         assert len(lines) == 1 and lines[0].startswith(f"error: --dim {dim} ")
@@ -407,17 +429,10 @@ def test_pinned_dim_below_a_suite_minimum_is_named(suite, dim, code, tmp_path):
         assert lines and all(l.startswith("# FAIL ") for l in lines)
 
 
-def _verify(suite, *argv):
-    """Exit code, artifact and stderr lines of an in-process verify run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--suite", suite, *argv])
-    return code, out.getvalue(), err.getvalue().splitlines()
-
-
 @functools.cache
 def _unpinned(suite):
-    return _verify(suite)[:2]
+    run = run_main("verify", "--suite", suite)
+    return run.code, run.out
 
 
 # the float range edges of every suite record, and the floats next to them
@@ -455,10 +470,11 @@ def _pinned_runs(draw):
 @example(run=("sqm", {"lam": 1e150}))
 @settings(max_examples=40)
 def test_pinned_values_follow_the_suite_records(run):
-    # in process: a numpy warning is an error under the test configuration
     suite, pinned = run
     record = INPUTS[suite]
-    code, artifact, err = _verify(suite, *(f"--{f}={v!r}" for f, v in pinned.items()))
+    result = run_main("verify", "--suite", suite, *(f"--{f}={v!r}" for f, v in pinned.items()))
+    assert not result.warnings
+    code, artifact, err = result.code, result.out, result.err
     outside = [f for f, (_, low, high) in record.items()
                if f in pinned and not low <= abs(pinned[f]) <= high]
     if outside:
@@ -478,15 +494,10 @@ def test_pinned_values_follow_the_suite_records(run):
 )
 def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_path):
     # one error line that names the flag, and no numpy warning before it
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockbench.cli", "wavefunction", "--family", "squeezed", *argv,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
-    assert not (tmp_path / "out").exists()
+    run = run_main("wavefunction", "--family", "squeezed", *argv, out=tmp_path / "out")
+    assert run.code == 2
+    assert len(run.err) == 1 and run.err[0].startswith(f"error: {flag} ")
+    assert not run.wrote and not run.warnings
 
 
 @pytest.mark.parametrize(
@@ -501,15 +512,10 @@ def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_p
 )
 def test_coherent_profile_refuses_an_unresolving_grid(argv, flag, tmp_path):
     # the squeezed profile's rules with s = 1: one error line, no warning
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockbench.cli", "wavefunction", "--family", "coherent", *argv,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
-    assert not (tmp_path / "out").exists()
+    run = run_main("wavefunction", "--family", "coherent", *argv, out=tmp_path / "out")
+    assert run.code == 2
+    assert len(run.err) == 1 and run.err[0].startswith(f"error: {flag} ")
+    assert not run.wrote and not run.warnings
 
 
 def test_coherent_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
@@ -562,17 +568,13 @@ def _wavefunction_argv(draw):
 def test_wavefunction_fuzz_exits_cleanly(argv, tmp_path):
     out = tmp_path / "out"
     out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = main(argv + ["--out", str(out)])
-    assert code in (0, 2)
-    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-    if code == 2:
-        assert len(errors) == 1
-        assert not out.exists()
+    run = run_main(*argv, out=out)
+    assert run.code in (0, 2) and not run.warnings
+    errors = [line for line in run.err if "error:" in line]
+    if run.code == 2:
+        assert len(errors) == 1 and not run.wrote
     else:
-        assert errors == [] and out.exists()
+        assert errors == [] and run.wrote
 
 
 def test_squeezed_profile_takes_momenta_up_to_the_nyquist_limit(capsys):

@@ -13,6 +13,7 @@ from fockbench.fock import (
     fock_basis_state,
     ladder_exp_action,
     ladder_exp_dense,
+    ladder_matrix,
     ladder_moments,
     ladder_nilpotent_exp,
     matrix_exponential,
@@ -55,6 +56,23 @@ def nilpotent_series(m: np.ndarray) -> np.ndarray:
             break
         out += term
     return out
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["real", "complex", "bool"])
+def test_ladder_matrix_matches_an_explicit_loop(kind, step):
+    rng = np.random.default_rng(step)
+    for dim in range(1, 10):
+        weights = {
+            "real": rng.standard_normal(dim),
+            "complex": rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+            "bool": rng.random(dim) < 0.5,
+        }[kind]
+        want = np.zeros((dim, dim), dtype=complex)
+        for n in range(step, dim):
+            want[n - step, n] = weights[n]
+        got = ladder_matrix(weights, step)
+        assert got.dtype == complex and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [8, 16, 32, 64])

@@ -17,8 +17,8 @@ from fockbench.phase import (
 
 def test_one_sided_unitarity_is_exact():
     dim = 64
-    ops = build_phase_set(dim)
-    prod = ops.gamma_minus @ ops.gamma_plus
+    g_minus = build_phase_set(dim)
+    prod = g_minus @ g_minus.conj().T
     # identity exactly on the interior; the last diagonal entry is a
     # structural zero of the truncation
     assert np.array_equal(prod[: dim - 1, : dim - 1], np.eye(dim - 1, dtype=complex))
@@ -27,17 +27,18 @@ def test_one_sided_unitarity_is_exact():
 
 def test_reverse_product_misses_vacuum_projector():
     dim = 64
-    ops = build_phase_set(dim)
-    prod = ops.gamma_plus @ ops.gamma_minus
+    g_minus = build_phase_set(dim)
+    prod = g_minus.conj().T @ g_minus
     expected = np.eye(dim, dtype=complex)
     expected[0, 0] = 0.0
     # the defect lives entirely in the top row of the truncated matrix
     assert np.array_equal(prod[: dim - 1, : dim - 1], expected[: dim - 1, : dim - 1])
 
 
-def _trig_operators(ops) -> tuple[np.ndarray, np.ndarray]:
+def _trig_operators(g_minus) -> tuple[np.ndarray, np.ndarray]:
     """cos phi = (G+ + G-)/2 and sin phi = (G+ - G-)/(2i)."""
-    return (ops.gamma_plus + ops.gamma_minus) / 2.0, (ops.gamma_plus - ops.gamma_minus) / 2j
+    g_plus = g_minus.conj().T
+    return (g_plus + g_minus) / 2.0, (g_plus - g_minus) / 2j
 
 
 def test_trig_operators_hermitian_and_bounded():
@@ -51,8 +52,8 @@ def test_trig_operators_hermitian_and_bounded():
 
 def test_number_shift_ladder_commutator():
     dim = 64
-    r = build_omega_ops(1, dim)  # R+- = Omega_1+-
-    r_plus, r_minus = r.omega_plus, r.omega_minus
+    r_minus = build_omega_ops(1, dim)  # R+- = Omega_1+-
+    r_plus = r_minus.conj().T
     n_op = number_operator(dim)
     comm = r_minus @ r_plus - r_plus @ r_minus
     target = 2.0 * n_op + np.eye(dim)
@@ -61,17 +62,17 @@ def test_number_shift_ladder_commutator():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_m_step_commutator_on_two_sided_interior(m):
-    ladder = build_omega_ops(m, 64)
-    assert omega_commutator_defect(ladder) <= 1e-12
+    assert omega_commutator_defect(build_omega_ops(m, 64), m) <= 1e-12
 
 
 def test_m_step_commutator_needs_both_edges_excluded():
     """Rows below the step size are defective too, not only the top ones."""
     dim = 64
     m = 2
-    ladder = build_omega_ops(m, dim)
+    omega_minus = build_omega_ops(m, dim)
+    omega_plus = omega_minus.conj().T
     n_op = number_operator(dim)
-    comm = ladder.omega_minus @ ladder.omega_plus - ladder.omega_plus @ ladder.omega_minus
+    comm = omega_minus @ omega_plus - omega_plus @ omega_minus
     full = comm - m * (2.0 * n_op + m * np.eye(dim))
     bottom = np.abs(full[:m, :m]).max()
     assert bottom >= 0.5
@@ -162,22 +163,23 @@ def test_ladder_unitary_matches_geometric_profile(m):
 # R+- is Omega_1+-, which needs dim >= 4
 @pytest.mark.parametrize("dim", [4, 16, 64])
 def test_number_shift_factorizations_agree(dim):
-    ops = build_phase_set(dim)
+    g_minus = build_phase_set(dim)
+    g_plus = g_minus.conj().T
     n_op = number_operator(dim)
     one = np.eye(dim)
-    r = build_omega_ops(1, dim)
-    r_plus, r_minus = r.omega_plus, r.omega_minus
-    assert np.array_equal(r_plus, n_op @ ops.gamma_plus)
-    assert np.array_equal(r_plus, ops.gamma_plus @ (n_op + one))
-    assert np.array_equal(r_minus, ops.gamma_minus @ n_op)
-    assert np.array_equal(r_minus, (n_op + one) @ ops.gamma_minus)
+    r_minus = build_omega_ops(1, dim)
+    r_plus = r_minus.conj().T
+    assert np.array_equal(r_plus, n_op @ g_plus)
+    assert np.array_equal(r_plus, g_plus @ (n_op + one))
+    assert np.array_equal(r_minus, g_minus @ n_op)
+    assert np.array_equal(r_minus, (n_op + one) @ g_minus)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64 // 4])
 def test_m_step_factorizations_agree(m):
     dim = 64
-    gm_pow = np.linalg.matrix_power(build_phase_set(dim).gamma_minus, m)
+    gm_pow = np.linalg.matrix_power(build_phase_set(dim), m)
     n_op = number_operator(dim)
-    ladder = build_omega_ops(m, dim)
-    assert np.array_equal(ladder.omega_minus, gm_pow @ n_op)
-    assert np.array_equal(ladder.omega_minus, (n_op + m * np.eye(dim)) @ gm_pow)
+    omega_minus = build_omega_ops(m, dim)
+    assert np.array_equal(omega_minus, gm_pow @ n_op)
+    assert np.array_equal(omega_minus, (n_op + m * np.eye(dim)) @ gm_pow)

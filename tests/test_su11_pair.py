@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fockbench.su11 import (
-    SU11Rep,
     pair_coherent,
     pair_residuals,
     perelomov_exponential,
@@ -22,13 +21,45 @@ from fockbench.su11 import (
 @pytest.mark.parametrize("k", [0.5, 0.75, 1.0, 2.0])
 def test_generator_algebra(k):
     dim = 40
-    kp, km, k0 = su11_generators(SU11Rep(k, dim))
+    kp, km, k0 = su11_generators(k, dim)
     sl = np.s_[: dim - 1, : dim - 1]
     assert np.abs((km @ kp - kp @ km - 2 * k0)[sl]).max() <= 1e-12
     assert np.abs((k0 @ kp - kp @ k0 - kp)[sl]).max() <= 1e-12
     assert np.abs((k0 @ km - km @ k0 + km)[sl]).max() <= 1e-12
     casimir = k0 @ k0 - (kp @ km + km @ kp) / 2.0
     assert np.abs((casimir - k * (k - 1) * np.eye(dim))[sl]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "k, ulps",
+    [(0.5, 0), (0.75, 0), (1.0, 0), (2.0, 0), (1 / 3, 2), (0.3, 2), (2.7, 2), (300.0, 2)],
+)
+def test_raising_entries_match_the_explicit_formula(k, ulps):
+    # K+|k,n> = sqrt((n+1)(2k+n))|k,n+1>, written out independently of the
+    # K- weights the generators are built from; exact at the pair suite's k
+    dim = 40
+    kp = su11_generators(k, dim)[0]
+    ns = np.arange(dim - 1)
+    want = np.sqrt((ns + 1.0) * (2.0 * k + ns))
+    assert np.all(np.abs(kp[ns + 1, ns] - want) <= ulps * np.spacing(want))
+    kp[ns + 1, ns] = 0.0
+    assert not kp.any()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        su11_generators,
+        lambda k, dim: perelomov_state(k, 0.3, dim),
+        lambda k, dim: perelomov_exponential(k, 0.3, dim),
+    ],
+    ids=["generators", "closed-form", "exponential"],
+)
+def test_representation_is_checked_by_every_builder(build):
+    with pytest.raises(ValueError, match="^Bargmann index must be positive$"):
+        build(0.0, 8)
+    with pytest.raises(ValueError, match="^dim must be at least 2$"):
+        build(1.0, 1)
 
 
 def test_kappa_mapping():
@@ -42,16 +73,14 @@ def test_kappa_mapping():
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("phi", [0.0, np.pi / 3, np.pi])
 def test_closed_form_matches_exponential(r, phi):
-    rep = SU11Rep(1.0, 48)
     xi = r * np.exp(1j * phi)
-    closed = perelomov_state(rep, xi)
-    assert closed.fidelity(perelomov_exponential(rep, xi)) >= 1.0 - 1e-8
+    closed = perelomov_state(1.0, xi, 48)
+    assert closed.fidelity(perelomov_exponential(1.0, xi, 48)) >= 1.0 - 1e-8
 
 
 def test_state_rejects_boundary():
-    rep = SU11Rep(0.5, 32)
     with pytest.raises(ValueError):
-        perelomov_state(rep, 30.0)  # kappa saturates the unit disc
+        perelomov_state(0.5, 30.0, 32)  # kappa saturates the unit disc
 
 
 @pytest.mark.parametrize("zeta,q", [(1.0, 0), (2.0, 1), (1 + 1j, 2)])
