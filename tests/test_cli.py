@@ -38,19 +38,18 @@ class Run:
     warnings: list[str]
 
 
-def run_main(*argv, out=None) -> Run:
-    """`main(argv)` in this process, with `--out out` when `out` is given.
-    Warnings are recorded instead of raised, so a test can assert that none
-    was issued, where a fresh process would have printed it to stderr."""
-    if out is not None:
-        argv = (*argv, "--out", str(out))
+def run_main(*argv) -> Run:
+    """`main(argv)` in this process.  Warnings are recorded instead of
+    raised, so a test can assert that none was issued, where a fresh process
+    would have printed it to stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main(list(argv))
-    return Run(code, stdout.getvalue(), stderr.getvalue().splitlines(),
-               out is not None and Path(out).exists(), [str(w.message) for w in caught])
+    wrote = "--out" in argv and Path(argv[argv.index("--out") + 1]).exists()
+    return Run(code, stdout.getvalue(), stderr.getvalue().splitlines(), wrote,
+               [str(w.message) for w in caught])
 
 
 def test_state_json_layout(tmp_path, capsys):
@@ -192,7 +191,7 @@ def test_overflow_in_a_suite_is_a_usage_error(monkeypatch, tmp_path):
             raise error
 
         monkeypatch.setitem(SUITES, "coherent", overflowing)
-        run = run_main("verify", "--suite", "coherent", out=tmp_path / "out")
+        run = run_main("verify", "--suite", "coherent", "--out", str(tmp_path / "out"))
         assert run.code == 2
         assert [line for line in run.err if line.startswith("error:")] == [f"error: {error}"]
         assert not run.wrote and not run.warnings
@@ -397,7 +396,7 @@ def test_one_parser_serves_successive_commands_as_fresh_runs(tmp_path, capsys):
 )
 def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_path):
     # one error line and no numpy warning: the range is checked before the suite runs
-    run = run_main("verify", "--suite", suite, flag, value, out=tmp_path / "out")
+    run = run_main("verify", "--suite", suite, flag, value, "--out", str(tmp_path / "out"))
     assert run.code == 2
     assert len(run.err) == 1 and run.err[0].startswith(f"error: {flag} ")
     assert not run.warnings
@@ -417,7 +416,7 @@ def test_pinned_value_outside_a_suite_range_is_named(suite, flag, value, tmp_pat
     ],
 )
 def test_pinned_dim_below_a_suite_minimum_is_named(suite, dim, code, tmp_path):
-    run = run_main("verify", "--suite", suite, "--dim", dim, out=tmp_path / "out")
+    run = run_main("verify", "--suite", suite, "--dim", dim, "--out", str(tmp_path / "out"))
     assert run.code == code
     assert not run.warnings
     lines = [l for l in run.err if not l.startswith("# suite ")]
@@ -494,7 +493,7 @@ def test_pinned_values_follow_the_suite_records(run):
 )
 def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_path):
     # one error line that names the flag, and no numpy warning before it
-    run = run_main("wavefunction", "--family", "squeezed", *argv, out=tmp_path / "out")
+    run = run_main("wavefunction", "--family", "squeezed", *argv, "--out", str(tmp_path / "out"))
     assert run.code == 2
     assert len(run.err) == 1 and run.err[0].startswith(f"error: {flag} ")
     assert not run.wrote and not run.warnings
@@ -512,7 +511,7 @@ def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_p
 )
 def test_coherent_profile_refuses_an_unresolving_grid(argv, flag, tmp_path):
     # the squeezed profile's rules with s = 1: one error line, no warning
-    run = run_main("wavefunction", "--family", "coherent", *argv, out=tmp_path / "out")
+    run = run_main("wavefunction", "--family", "coherent", *argv, "--out", str(tmp_path / "out"))
     assert run.code == 2
     assert len(run.err) == 1 and run.err[0].startswith(f"error: {flag} ")
     assert not run.wrote and not run.warnings
@@ -568,7 +567,7 @@ def _wavefunction_argv(draw):
 def test_wavefunction_fuzz_exits_cleanly(argv, tmp_path):
     out = tmp_path / "out"
     out.unlink(missing_ok=True)
-    run = run_main(*argv, out=out)
+    run = run_main(*argv, "--out", str(out))
     assert run.code in (0, 2) and not run.warnings
     errors = [line for line in run.err if "error:" in line]
     if run.code == 2:
