@@ -17,6 +17,7 @@ import argparse
 import cmath
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -56,15 +57,134 @@ def _fmt_float(x) -> str:
     return "%.17g" % xf
 
 
-def _fmt_array(arr: np.ndarray, cell: str, sep: str) -> str:
-    """Every float of a real or complex array (a complex entry as re, im)
-    put through `cell`, a template of "%.17g" fields, joined by `sep`."""
+# A value is spelled from its alphabet row: digit i of its 17 at _DIGIT - i,
+# exponent digit i (units first) at _EXP + i, the suffix of its place from
+# _AFFIX on.  Column 0 and unused bytes stay 0; 0 bytes are dropped.
+_SIGN, _DIGIT, _POINT, _E, _ESIGN, _EXP, _ZERO, _AFFIX = 1, 18, 19, 20, 21, 22, 26, 27
+_Q0 = -292  # the least power of ten a value is scaled by: 10^(16 - 308)
+_CHUNK = 4096  # values per pass: bounds the index arrays, not the output
+
+
+@functools.lru_cache(maxsize=None)
+def _tables():
+    """Built on first use: 10^q, q = _Q0 ... 340, truncated to (hi + lo)
+    2^shift with hi < 2^53, lo < 1; 0 ... 9999 as four digits, units first."""
+    tens = list(itertools.accumulate(range(340), lambda p, _: 10 * p, initial=1))
+    big = [tens[q] << 1200 if q >= 0 else (1 << 1200) // tens[-q] for q in range(_Q0, 341)]
+    shift = [b.bit_length() - 106 for b in big]
+    two = np.frombuffer("".join(f"{i % 10}{i // 10}" for i in range(100)).encode(), np.uint16)
+    four = np.empty((100, 100, 2), np.uint16)  # 100 h + l: the digits of l, then of h
+    four[:, :, 0], four[:, :, 1] = two, two[:, None]
+    return (np.array([b >> t + 53 for b, t in zip(big, shift)], dtype=float),
+            np.array([b >> t & (2**53 - 1) for b, t in zip(big, shift)], dtype=float) / 2**53,
+            np.array(shift) - 1200, four.view(np.uint32).ravel())
+
+
+def _two_product(a, b):
+    """p, e with p + e = a b exactly (Dekker 1971; numpy has no fma)."""
+    # Veltkamp: t - (t - u) with t = (2^27 + 1) u is the high 26 bits of u
+    ah, bh = (t - (t - u) for u in (a, b) for t in [134217729.0 * u])
+    al, bl = a - ah, b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(c: int) -> tuple:
+    """The alphabet columns that spell a value of class c = 17 k + s - 1:
+    k 0 ... 20 prints fixed point with exponent k - 4, k 21 and 22 an
+    exponent of two and three digits; s significant digits.  17 * 4 spells 0."""
+    k, s = divmod(c, 17)
+    whole = k - 3 if 4 <= k <= 20 else 1  # digits before the point
+    digits = [_DIGIT - i for i in range(max(s + 1, whole))]  # ddd00: N's trailing zeros
+    body = digits[:whole] + ([_POINT] + digits[whole:] if s >= whole else [])
+    if k < 4:  # 0.000ddd
+        body = [_ZERO, _POINT] + [_ZERO] * (3 - k) + digits
+    elif k > 20:  # d.ddde-XX
+        body += [_E, _ESIGN] + [_EXP + i for i in range(k - 20, -1, -1)]
+    return (_SIGN, *body) + (0,) * (23 - len(body))
+
+
+def _spell(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Write each nonzero float of `v`, rounded half to even to 17 digits
+    N 10^(X - 16), into its alphabet row; return the class of each."""
+    hi, lo, shift, quads = _tables()
+    a = abs(v)
+    f, e = np.frexp(a)
+    m = f * 2.0**53
+    # floor(log10 a) is X except right next to a power of ten, where the
+    # product below falls outside [10^16, 10^17)
+    x = np.floor(np.log10(a)).astype(np.intp)
+    i = 16 - x - _Q0
+    p, err = _two_product(m, hi.take(i))
+    y = np.ldexp(p, e + shift.take(i))  # a 10^(16 - x) = y + z to 1e-14; y is an integer
+    z = np.ldexp(err + m * lo.take(i), e + shift.take(i))
+    r = np.rint(z)
+    num = y.astype(np.int64) + r.astype(np.int64)
+    hard = (abs(z - r) > 0.5 - 1e-9) | ((y - 1e16) + z < 1) | ((y - 1e17) + z > -1)
+    for j in np.flatnonzero(hard).tolist():  # take CPython's correctly rounded digits
+        text = "%.16e" % a[j]
+        num[j], x[j] = int(text[0] + text[2:18]), int(text[19:])
+    high, low = np.divmod(num, 10**8)
+    lead, mid = np.divmod(high, 10**8)
+    fours = np.stack(np.divmod(np.stack((low, mid), axis=1), 10**4)[::-1], axis=2)
+    alpha[:, _DIGIT - 16:_DIGIT] = quads.take(fours.reshape(-1, 4)).view(np.uint8)
+    alpha[:, _DIGIT] = 48 + lead
+    alpha[:, _SIGN] = np.where(np.signbit(v), 45, 0)
+    alpha[:, _ESIGN] = np.where(x < 0, 45, 43)
+    alpha[:, _EXP:_EXP + 4] = quads.take(abs(x))[:, None].view(np.uint8)
+    zeros = np.argmax(alpha[:, _DIGIT - 16:_DIGIT + 1] != 48, axis=1)
+    k = np.where((x >= -4) & (x <= 16), x + 4, np.where(abs(x) < 100, 21, 22))
+    return 17 * k + 16 - zeros
+
+
+def _fmt_array(arr: np.ndarray, seps: list, head: str, end: str) -> str:
+    """`head`, then every float of a real or complex array (a complex entry
+    as re, im) printed exactly as "%.17g", each followed by the separator of
+    its place in the repeating `seps`; `end` replaces the last one."""
     if not np.isfinite(arr).all():
         raise ValueError("non-finite value in artifact")
-    if np.iscomplexobj(arr):
-        arr = np.stack((arr.real, arr.imag), axis=-1)
-    values = np.asarray(arr, dtype=float).ravel().tolist()
-    return sep.join([cell] * (len(values) // cell.count("%"))) % tuple(values)
+    values = np.stack((arr.real, arr.imag), axis=-1) if np.iscomplexobj(arr) else arr
+    values = np.asarray(values, dtype=float).ravel()
+    seps = [sep.encode() for sep in seps]
+    width = _AFFIX + max(map(len, seps))
+    blank = np.zeros((len(seps), width), np.uint8)
+    blank[:, [_DIGIT, _POINT, _E, _ZERO]] = np.frombuffer(b"0.e0", np.uint8)
+    blank[:, _AFFIX:] = np.frombuffer(b"".join(s.ljust(width - _AFFIX, b"\0") for s in seps),
+                                      np.uint8).reshape(len(seps), -1)
+    shared = np.tile(blank, (2, 1))  # a zero reads the "0" or "-0" row of its place
+    shared[len(seps):, _SIGN] = ord("-")
+    phase = np.tile(np.arange(len(seps)), -(-min(_CHUNK, values.size) // len(seps)))
+    layouts = np.zeros((23 * 17, 24 + width - _AFFIX), np.intp)
+    text = head
+    for start in range(0, values.size, phase.size):
+        v = values[start:start + phase.size]
+        nonzero = np.flatnonzero(v)
+        row = phase[:v.size] + len(seps) * np.signbit(v)
+        row[nonzero] = len(shared) + np.arange(nonzero.size)
+        alpha = np.concatenate((shared, blank.take(phase[nonzero], axis=0)))
+        cls = np.concatenate(([17 * 4] * len(shared), _spell(v[nonzero], alpha[len(shared):])))
+        unbuilt = layouts[:, 0] == 0  # a built layout starts at the sign column
+        for c in np.flatnonzero(np.bincount(cls, minlength=len(layouts)) * unbuilt).tolist():
+            layouts[c] = (*_layout(c), *range(_AFFIX, width))
+        index = layouts.take(cls, axis=0)
+        index += np.arange(0, alpha.size, width)[:, None]
+        out = alpha.ravel().take(index).take(row, axis=0)
+        del index  # the largest array of a pass: free it before the bytes are cut
+        part = out[out != 0].tobytes().decode("ascii")
+        if start + phase.size >= values.size:
+            part = part[:len(part) - len(seps[-1])] + end
+        text += part  # grows in place: no second copy of the output
+    return text
+
+
+def _json_seps(shape) -> list:
+    """`_fmt_array` separators for the items, of `shape`, of a JSON array."""
+    seps = [","]
+    for d in reversed(shape):
+        seps = seps * d
+        seps[-1] = "]" + seps[-1] + "["
+    return seps
 
 
 def _emit_json(obj) -> str:
@@ -85,9 +205,9 @@ def _emit_json(obj) -> str:
     if isinstance(obj, dict):
         parts = (json.dumps(str(k)) + ":" + _emit_json(v) for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        cell = "[%.17g,%.17g]" if np.iscomplexobj(obj) else "%.17g"
-        return "[" + _fmt_array(obj, cell, ",") + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.size:
+        inner = obj.shape[1:] + ((2,) if np.iscomplexobj(obj) else ())
+        return _fmt_array(obj, _json_seps(inner), "[" * (len(inner) + 1), "]" * (len(inner) + 1))
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_emit_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -97,8 +217,8 @@ def _emit_csv(header, rows) -> str:
     """CSV text; `rows` is a 2-d float array, or rows of names and numbers
     (a name is quoted when it holds a comma)."""
     if isinstance(rows, np.ndarray):
-        cell = ",".join(["%.17g"] * rows.shape[1])
-        return ",".join(header) + "\n" + _fmt_array(rows, cell, "\n") + "\n"
+        seps = [","] * (rows.shape[1] - 1) + ["\n"]
+        return _fmt_array(rows, seps, ",".join(header) + "\n", "\n")
     import csv  # verify alone writes name rows; cold state and sweep commands skip it
 
     out = io.StringIO()
