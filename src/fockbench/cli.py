@@ -69,12 +69,12 @@ _CHUNK = 4096  # values per pass: bounds the index arrays, not the output
 def _tables():
     """Built on first use: 10^q, q = _Q0 ... 340, truncated to (hi + lo)
     2^shift with hi < 2^53, lo < 1; 0 ... 9999 as four digits, units first."""
-    tens = list(itertools.accumulate(range(340), lambda p, _: 10 * p, initial=1))
-    big = [tens[q] << 1200 if q >= 0 else (1 << 1200) // tens[-q] for q in range(_Q0, 341)]
+    down = itertools.accumulate(range(-_Q0), lambda p, _: p // 10, initial=1 << 1200)
+    up = itertools.accumulate(range(340), lambda p, _: 10 * p, initial=1 << 1200)
+    big = [*list(down)[:0:-1], *up]  # 10^q 2^1200, q = _Q0 ... 340, truncated for q < 0
     shift = [b.bit_length() - 106 for b in big]
     two = np.frombuffer("".join(f"{i % 10}{i // 10}" for i in range(100)).encode(), np.uint16)
-    four = np.empty((100, 100, 2), np.uint16)  # 100 h + l: the digits of l, then of h
-    four[:, :, 0], four[:, :, 1] = two, two[:, None]
+    four = np.stack(np.broadcast_arrays(two, two[:, None]), axis=2)  # 100 h + l: l's, h's
     return (np.array([b >> t + 53 for b, t in zip(big, shift)], dtype=float),
             np.array([b >> t & (2**53 - 1) for b, t in zip(big, shift)], dtype=float) / 2**53,
             np.array(shift) - 1200, four.view(np.uint32).ravel())
