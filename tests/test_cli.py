@@ -947,6 +947,7 @@ def test_flat_array_emission_matches_per_element_formatting():
     hard = np.concatenate((edges, _near_ties(), bits[np.isfinite(bits)], *near))
     assert _emit_json(hard) == "[" + ",".join("%.17g" % x for x in hard.tolist()) + "]"
     for n in (4095, 4096, 4097):
+        assert _emit_json(hard[:n]) == "[" + ",".join("%.17g" % x for x in hard[:n].tolist()) + "]"
         cplx = hard[:n] + 1j * hard[n:2 * n]
         pairs = ("[%.17g,%.17g]" % (z.real, z.imag) for z in cplx.tolist())
         assert _emit_json(cplx) == "[" + ",".join(pairs) + "]"
