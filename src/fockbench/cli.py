@@ -17,7 +17,6 @@ import argparse
 import cmath
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -67,17 +66,13 @@ _CHUNK = 4096  # values per pass: bounds the index arrays, not the output
 
 @functools.lru_cache(maxsize=None)
 def _tables():
-    """Built on first use: 10^q, q = _Q0 ... 340, truncated to (hi + lo)
-    2^shift with hi < 2^53, lo < 1; 0 ... 9999 as four digits, units first."""
-    down = itertools.accumulate(range(-_Q0), lambda p, _: p // 10, initial=1 << 1200)
-    up = itertools.accumulate(range(340), lambda p, _: 10 * p, initial=1 << 1200)
-    big = [*list(down)[:0:-1], *up]  # 10^q 2^1200, q = _Q0 ... 340, truncated for q < 0
-    shift = [b.bit_length() - 106 for b in big]
+    """Rows filled on first sight: 10^q, q = _Q0 + row, as (hi + lo) 2^shift
+    (`_spell`) and the alphabet columns of each class (`_layout`); built at
+    once: 0 ... 9999 as four digits, units first."""
     two = np.frombuffer("".join(f"{i % 10}{i // 10}" for i in range(100)).encode(), np.uint16)
     four = np.stack(np.broadcast_arrays(two, two[:, None]), axis=2)  # 100 h + l: l's, h's
-    return (np.array([b >> t + 53 for b, t in zip(big, shift)], dtype=float),
-            np.array([b >> t & (2**53 - 1) for b, t in zip(big, shift)], dtype=float) / 2**53,
-            np.array(shift) - 1200, four.view(np.uint32).ravel())
+    return (np.zeros(633), np.zeros(633), np.zeros(633, np.intp), four.view(np.uint32).ravel(),
+            np.zeros((23 * 17, 24), np.intp))
 
 
 def _two_product(a, b):
@@ -89,7 +84,6 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-@functools.lru_cache(maxsize=None)
 def _layout(c: int) -> tuple:
     """The alphabet columns that spell a value of class c = 17 k + s - 1:
     k 0 ... 20 prints fixed point with exponent k - 4, k 21 and 22 an
@@ -108,7 +102,7 @@ def _layout(c: int) -> tuple:
 def _spell(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Write each nonzero float of `v`, rounded half to even to 17 digits
     N 10^(X - 16), into its alphabet row; return the class of each."""
-    hi, lo, shift, quads = _tables()
+    hi, lo, shift, quads, _ = _tables()
     a = abs(v)
     f, e = np.frexp(a)
     m = f * 2.0**53
@@ -116,6 +110,10 @@ def _spell(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     # product below falls outside [10^16, 10^17)
     x = np.floor(np.log10(a)).astype(np.intp)
     i = 16 - x - _Q0
+    for row in set(i[hi.take(i) == 0].tolist()):  # first sight: 10^q 2^1200, q = row + _Q0
+        big = (10**max(row + _Q0, 0) << 1200) // 10**max(-row - _Q0, 0)
+        t = big.bit_length() - 106  # cut to (hi + lo) 2^(t - 1200) with hi < 2^53, lo < 1
+        hi[row], lo[row], shift[row] = big >> t + 53, (big >> t & (2**53 - 1)) / 2**53, t - 1200
     p, err = _two_product(m, hi.take(i))
     y = np.ldexp(p, e + shift.take(i))  # a 10^(16 - x) = y + z to 1e-14; y is an integer
     z = np.ldexp(err + m * lo.take(i), e + shift.take(i))
@@ -155,7 +153,9 @@ def _fmt_array(arr: np.ndarray, seps: list, head: str, end: str) -> str:
     shared = np.tile(blank, (2, 1))  # a zero reads the "0" or "-0" row of its place
     shared[len(seps):, _SIGN] = ord("-")
     phase = np.tile(np.arange(len(seps)), -(-min(_CHUNK, values.size) // len(seps)))
-    layouts = np.zeros((23 * 17, 24 + width - _AFFIX), np.intp)
+    known = _tables()[4]  # a built row starts at the sign column, 1
+    layouts = np.zeros((len(known), 24 + width - _AFFIX), np.intp)
+    layouts[:, :24], layouts[:, 24:] = known, range(_AFFIX, width)
     text = head
     for start in range(0, values.size, phase.size):
         v = values[start:start + phase.size]
@@ -164,9 +164,8 @@ def _fmt_array(arr: np.ndarray, seps: list, head: str, end: str) -> str:
         row[nonzero] = len(shared) + np.arange(nonzero.size)
         alpha = np.concatenate((shared, blank.take(phase[nonzero], axis=0)))
         cls = np.concatenate(([17 * 4] * len(shared), _spell(v[nonzero], alpha[len(shared):])))
-        unbuilt = layouts[:, 0] == 0  # a built layout starts at the sign column
-        for c in np.flatnonzero(np.bincount(cls, minlength=len(layouts)) * unbuilt).tolist():
-            layouts[c] = (*_layout(c), *range(_AFFIX, width))
+        for c in set(cls[layouts[:, 0].take(cls) == 0].tolist()):
+            layouts[c, :24] = known[c] = _layout(c)
         index = layouts.take(cls, axis=0)
         index += np.arange(0, alpha.size, width)[:, None]
         out = alpha.ravel().take(index).take(row, axis=0)
