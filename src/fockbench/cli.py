@@ -115,21 +115,23 @@ def _spell(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         t = big.bit_length() - 106  # cut to (hi + lo) 2^(t - 1200) with hi < 2^53, lo < 1
         hi[row], lo[row], shift[row] = big >> t + 53, (big >> t & (2**53 - 1)) / 2**53, t - 1200
     p, err = _two_product(m, hi.take(i))
-    y = np.ldexp(p, e + shift.take(i))  # a 10^(16 - x) = y + z to 1e-14; y is an integer
-    z = np.ldexp(err + m * lo.take(i), e + shift.take(i))
+    scale = ((e + shift.take(i) + 1023) << 52).view(np.float64)  # 2^k, k in [-52, -48]
+    y = p * scale  # a 10^(16 - x) = y + z to 1e-14; y is an integer
+    z = (err + m * lo.take(i)) * scale
     r = np.rint(z)
     num = y.astype(np.int64) + r.astype(np.int64)
     hard = (abs(z - r) > 0.5 - 1e-9) | ((y - 1e16) + z < 1) | ((y - 1e17) + z > -1)
     for j in np.flatnonzero(hard).tolist():  # take CPython's correctly rounded digits
         text = "%.16e" % a[j]
         num[j], x[j] = int(text[0] + text[2:18]), int(text[19:])
-    high, low = np.divmod(num, 10**8)
-    lead, mid = np.divmod(high, 10**8)
-    fours = np.stack(np.divmod(np.stack((low, mid), axis=1), 10**4)[::-1], axis=2)
+    high = num // 10**8
+    lead = high // 10**8
+    eights = np.stack((num - high * 10**8, high - lead * 10**8), axis=1)
+    fours = np.stack((eights - eights // 10**4 * 10**4, eights // 10**4), axis=2)
     alpha[:, _DIGIT - 16:_DIGIT] = quads.take(fours.reshape(-1, 4)).view(np.uint8)
     alpha[:, _DIGIT] = 48 + lead
-    alpha[:, _SIGN] = np.where(np.signbit(v), 45, 0)
-    alpha[:, _ESIGN] = np.where(x < 0, 45, 43)
+    alpha[:, _SIGN] = np.signbit(v).view(np.uint8) * 45
+    alpha[:, _ESIGN] = 43 + 2 * (x < 0).view(np.uint8)
     alpha[:, _EXP:_EXP + 4] = quads.take(abs(x))[:, None].view(np.uint8)
     zeros = np.argmax(alpha[:, _DIGIT - 16:_DIGIT + 1] != 48, axis=1)
     k = np.where((x >= -4) & (x <= 16), x + 4, np.where(abs(x) < 100, 21, 22))
@@ -142,8 +144,8 @@ def _fmt_array(arr: np.ndarray, seps: list, head: str, end: str) -> str:
     its place in the repeating `seps`; `end` replaces the last one."""
     if not np.isfinite(arr).all():
         raise ValueError("non-finite value in artifact")
-    values = np.stack((arr.real, arr.imag), axis=-1) if np.iscomplexobj(arr) else arr
-    values = np.asarray(values, dtype=float).ravel()
+    kind = complex if np.iscomplexobj(arr) else float  # complex: re, im as a view, no copy
+    values = np.ascontiguousarray(arr, dtype=kind).view(float).ravel()
     seps = [sep.encode() for sep in seps]
     width = _AFFIX + max(map(len, seps))
     blank = np.zeros((len(seps), width), np.uint8)
@@ -201,9 +203,11 @@ def _emit_json(obj) -> str:
         return _fmt_float(obj)
     if isinstance(obj, complex):
         return _emit_json([obj.real, obj.imag])
-    if isinstance(obj, dict):
-        parts = (json.dumps(str(k)) + ":" + _emit_json(v) for k, v in obj.items())
-        return "{" + ",".join(parts) + "}"
+    if isinstance(obj, dict):  # one text grown in place, as in _fmt_array
+        text = "{"
+        for k, v in obj.items():
+            text += "," * (len(text) > 1) + json.dumps(str(k)) + ":" + _emit_json(v)
+        return text + "}"
     if isinstance(obj, np.ndarray) and obj.ndim and obj.size:
         inner = obj.shape[1:] + ((2,) if np.iscomplexobj(obj) else ())
         return _fmt_array(obj, _json_seps(inner), "[" * (len(inner) + 1), "]" * (len(inner) + 1))

@@ -11,8 +11,10 @@ therefore always go through an interior projector; see `max_abs_interior`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -244,6 +246,43 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     return X
 
 
+def bundled_lapack(**routines):
+    """numpy's bundled OpenBLAS routines by name: name=(k, p) takes k strings, p
+    pointers or arrays (ILP64), then k string lengths; None if one is missing."""
+    import ctypes
+    try:
+        libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")
+        lib = ctypes.CDLL(str(next(libs)))
+        found = [getattr(lib, f"scipy_{name}_64_") for name in routines]
+    except (StopIteration, OSError, AttributeError):
+        return None
+    for routine, (k, p) in zip(found, routines.values()):
+        routine.argtypes = [ctypes.c_char_p] * k + [ctypes.c_void_p] * p + [ctypes.c_size_t] * k
+        routine.restype = None
+    return [lambda *args, f=f: f(*(a.ctypes.data if isinstance(a, np.ndarray) else a
+                                   for a in args)) for f in found]
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_svd():
+    """u, s, vt of the square upper-bidiagonal B = diag(d) + diag(e, 1): dbdsdc, which
+    gesdd runs after an identity bidiagonalisation, else np.linalg.svd(B); same bits."""
+    if (found := bundled_lapack(dbdsdc=(2, 12))) is None:
+        return lambda d, e: np.linalg.svd(np.diag(d) + np.diag(e, 1))
+
+    def dbdsdc(d, e):
+        # copies: dbdsdc overwrites d and e and reads e contiguous; ut, v hold u, vt by columns
+        n, s, e, ints = d.size, np.array(d, float), np.array(e, float), np.array([d.size, 0])
+        ut, v, work = np.empty((n, n)), np.empty((n, n)), np.empty(3 * n * n + 4 * n)
+        found[0](b"U", b"I", ints, s, e, ut, ints, v, ints, None, None, work,
+                 np.empty(8 * n, np.int64), ints.ctypes.data + 8, 1, 1)
+        if ints[1]:
+            raise ArithmeticError(f"bidiagonal SVD did not converge (info {ints[1]})")
+        return ut.T, s, v.T
+
+    return dbdsdc
+
+
 def ladder_exp_action(
     weights: np.ndarray, step: int, alpha: complex, v: np.ndarray
 ) -> np.ndarray:
@@ -257,13 +296,12 @@ def ladder_exp_action(
     [[0, B], [B^T, 0]] (Golub-Kahan), and with B = U diag(s) V^T
 
         exp(-iT) = [[U cos(s) U^T, -i U sin(s) V^T],
-                    [-i V sin(s) U^T, V cos(s) V^T]],
+                    [-i V sin(s) U^T, V cos(s) V^T]].
 
-    where an odd-length chain's extra even mode has s = 0.  The SVD is taken
-    of the upper-bidiagonal B^T: in the lower orientation gesdd loses
-    relative accuracy on small amplitudes.  Chains on which v vanishes are
-    skipped.  This exponentiates the truncated generator; it reads no
-    closed form.
+    An odd chain gets a decoupled odd site (a zero last row, dropped from the
+    result), so the upper-bidiagonal B^T is square; `_chain_svd` takes its
+    SVD.  Chains on which v vanishes are skipped.  This exponentiates the
+    truncated generator; it reads no closed form.
     """
     out = np.array(v, dtype=complex)
     if alpha == 0:
@@ -280,16 +318,14 @@ def ladder_exp_action(
         gauge = unit ** np.arange(chain.size)
         x = gauge.conj() * chain
         # B^T[j, j] couples sites 2j, 2j + 1 and B^T[j, j + 1] sites 2j + 1, 2j + 2
-        k = np.arange(chain.size - 1)
-        block = np.zeros((chain.size // 2, (chain.size + 1) // 2))
-        block[k // 2, (k + 1) // 2] = w[c + step :: step]
-        v_odd, s, u_even_t = np.linalg.svd(block)
+        d = np.append(w[c + step :: 2 * step], [0.0] * (chain.size % 2))
+        v_odd, s, u_even_t = _chain_svd()(d, w[c + 2 * step :: 2 * step])
+        v_odd = v_odd[: chain.size // 2]
         even = u_even_t @ x[0::2]
         odd = v_odd.T @ x[1::2]
         y = np.empty_like(x)
-        y[1::2] = v_odd @ (np.cos(s) * odd - 1j * np.sin(s) * even[: s.size])
-        even[: s.size] = np.cos(s) * even[: s.size] - 1j * np.sin(s) * odd
-        y[0::2] = u_even_t.T @ even
+        y[1::2] = v_odd @ (np.cos(s) * odd - 1j * np.sin(s) * even)
+        y[0::2] = u_even_t.T @ (np.cos(s) * even - 1j * np.sin(s) * odd)
         out[c::step] = gauge * y
     return out
 

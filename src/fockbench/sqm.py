@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .coherent import coherent_ladder
-from .fock import GridWavefunction, build_ladder, fock_basis_state, ladder_exp_action
+from .fock import (GridWavefunction, build_ladder, bundled_lapack, fock_basis_state,
+                   ladder_exp_action)
 from .squeezing import squeeze_action
 
 __all__ = [
@@ -134,25 +134,10 @@ def deformed_potential(family: IsospectralFamily) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _bundled_lapack():
-    """dstebz and dstein of the OpenBLAS in numpy's wheel, taking and
-    returning what scipy.linalg.lapack's do; None for a numpy build
-    without that library or its symbols."""
-    import ctypes
-
-    try:
-        libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")
-        lib = ctypes.CDLL(str(next(libs)))
-        stebz, stein = lib.scipy_dstebz_64_, lib.scipy_dstein_64_
-    except (StopIteration, OSError, AttributeError):
+    """dstebz and dstein from `fock.bundled_lapack`, called as scipy.linalg.lapack's; else None."""
+    if (found := bundled_lapack(dstebz=(2, 16), dstein=(0, 13))) is None:
         return None
-    # Fortran: ILP64 integers, all by reference; dstebz ends with the
-    # hidden lengths of its RANGE and ORDER strings
-    stebz.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 16 + [ctypes.c_size_t] * 2
-    stein.argtypes = [ctypes.c_void_p] * 13
-    stebz.restype = stein.restype = None
-
-    def ptr(*arrays):
-        return [a.ctypes.data for a in arrays]
+    stebz, stein = found
 
     def dstebz(d, e, range_, vl, vu, il, iu, tol, order):
         n = d.size
@@ -162,7 +147,7 @@ def _bundled_lapack():
         w, work = np.empty(n), np.empty(4 * n)
         iblock, isplit, iwork = (np.empty(k, dtype=np.int64) for k in (n, n, 3 * n))
         stebz(b"AVI"[range_:range_ + 1], order.encode(), n_, vl_, vu_, il_, iu_, abstol,
-              *ptr(d, e), m, nsplit, *ptr(w, iblock, isplit, work, iwork), info, 1, 1)
+              d, e, m, nsplit, w, iblock, isplit, work, iwork, info, 1, 1)
         return int(ints[3]), w, iblock, isplit, int(ints[5])
 
     def dstein(d, e, w, iblock, isplit):
@@ -172,7 +157,7 @@ def _bundled_lapack():
         # row j of this C-ordered (m, n) buffer is column j of the Fortran (n, m) result
         z, work = np.empty((m, n)), np.empty(5 * n)
         iwork, ifail = np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64)
-        stein(n_, *ptr(d, e), m_, *ptr(w, iblock, isplit, z), n_, *ptr(work, iwork, ifail), info)
+        stein(n_, d, e, m_, w, iblock, isplit, z, n_, work, iwork, ifail, info)
         return z.T, int(ints[2])
 
     return dstebz, dstein

@@ -369,6 +369,15 @@ def test_sqm_artifact_is_byte_identical_on_both_lapack_routes(fmt, tmp_path, mon
     assert bundled.read_bytes() == scipy_route.read_bytes()
 
 
+@pytest.mark.usefixtures("nonconverging_dbdsdc")
+def test_a_nonconverged_chain_svd_exits_2_with_one_line(tmp_path):
+    run = run_main("state", "--family", "squeezed", "--r", "0.5", "--dim", "32",
+                   "--out", str(tmp_path / "out"))
+    assert run.code == 2 and run.out == ""
+    assert run.err == ["error: bidiagonal SVD did not converge (info 3)"]
+    assert not run.wrote and not run.warnings
+
+
 def test_one_parser_serves_successive_commands_as_fresh_runs(tmp_path, capsys):
     # the parser is built once per process: a command after a parse error
     # behaves as it does in an interpreter of its own
@@ -1031,3 +1040,24 @@ def test_wavefunction_rows_are_emitted_within_twice_their_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(text)
+
+
+def test_wavefunction_json_is_emitted_within_three_times_its_size():
+    # the JSON twin of the rows test: the complex values are read through a
+    # float view, not copied, and the payload dict grows one text; what is
+    # left above the text is one pass's working set, about 0.9 MB here
+    args = _build_parser()[0].parse_args(
+        ["wavefunction", "--family", "squeezed", "--s", "1.3", "--alpha", "0.1",
+         "--points", "20001"])
+    cli._apply_defaults(args)
+    payload = {"schema": cli.SCHEMA_VERSION, "command": "wavefunction",
+               **cli.run_wavefunction(args)[1]}
+    _emit_json(payload["values"][:8])  # the tables built on first use are not counted
+    tracemalloc.start()
+    try:
+        text = _emit_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 500_000
+    assert peak <= 3 * len(text)

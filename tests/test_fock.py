@@ -1,11 +1,15 @@
 """Core ladder algebra, truncation contracts and the exponential wrapper."""
 
+import ctypes
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fockbench import fock
 from fockbench.fock import (
     FockState,
     build_ladder,
@@ -426,3 +430,91 @@ def test_overlap_and_fidelity():
     assert abs(st.overlap(fock_basis_state(8, 3))) == 0.0
     with pytest.raises(ValueError):
         st.overlap(fock_basis_state(9, 3))
+
+
+needs_bundled_svd = pytest.mark.skipif(fock.bundled_lapack(dbdsdc=(2, 12)) is None,
+                                       reason="numpy bundles no OpenBLAS here")
+
+
+def _chain_block(couplings, n):
+    """Diagonal and superdiagonal of the square upper-bidiagonal B^T that
+    ladder_exp_action builds for a chain of n sites: couplings[k] joins
+    sites k and k + 1, and an odd chain gets a zero last diagonal."""
+    d = np.zeros((n + 1) // 2)
+    d[: n // 2] = couplings[0 : n - 1 : 2]
+    return d, couplings[1 : n - 1 : 2]
+
+
+_KS = np.arange(1, 301, dtype=float)
+CHAIN_COUPLINGS = {
+    "squeeze": 0.4 * np.sqrt(2 * _KS * (2 * _KS - 1)),  # sqrt(n(n - 1)) at n = 2k, step 2
+    "displacement": 1.3 * np.sqrt(_KS),  # sqrt(n), step 1
+    "phase": 0.3 * 3 * _KS,  # n at n = 3k, step 3
+    "random": np.random.default_rng(24).uniform(0.0, 3.0, _KS.size),
+}
+
+
+@needs_bundled_svd
+@pytest.mark.parametrize("kind", sorted(CHAIN_COUPLINGS))
+def test_bundled_dbdsdc_is_bitwise_equal_to_numpy_svd(kind):
+    # gesdd bidiagonalises an upper-bidiagonal block by the identity and
+    # runs dbdsdc on it, so both give the same bits, odd chains' zero last
+    # diagonal included
+    for n in range(2, 302):
+        d, e = _chain_block(CHAIN_COUPLINGS[kind], n)
+        if kind == "random" and n % 2 == 0:
+            d[-1] = 0.0  # a zero last diagonal on an even chain too
+        got = fock._chain_svd()(d, e)
+        want = np.linalg.svd(np.diag(d) + np.diag(e, 1))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g.view(np.uint64), w.view(np.uint64)), n
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+# (weights, step, alpha, dim): squeezed vacuum on even and odd chains, a
+# displacement and a phase squeeze
+ROUTE_CASES = [
+    (lambda ns: np.sqrt(ns * (ns - 1.0)), 2, 0.4 * np.exp(0.7j), 64),
+    (lambda ns: np.sqrt(ns * (ns - 1.0)), 2, 0.4 * np.exp(0.7j), 42),
+    (np.sqrt, 1, -0.6 + 0.2j, 33),
+    (lambda ns: ns, 3, 0.15, 50),
+]
+
+
+@needs_bundled_svd
+@pytest.mark.parametrize("missing", ["directory", "library", "symbol"])
+def test_a_missing_library_or_symbol_falls_back_to_numpy_svd(missing, tmp_path, monkeypatch):
+    def action():
+        out = []
+        for weights, step, alpha, dim in ROUTE_CASES:
+            v = np.zeros(dim, dtype=complex)
+            v[:3] = [1.0, 0.5j, -0.25]
+            out.append(ladder_exp_action(weights(np.arange(dim, dtype=float)), step, alpha, v))
+        return np.concatenate(out)
+
+    bundled = action()
+    if missing == "directory":  # a numpy that bundles no numpy.libs
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    elif missing == "library":
+        monkeypatch.setattr(ctypes, "CDLL", _no_library)
+    else:  # a library that exports dstebz but not dbdsdc
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(
+            scipy_dstebz_64_=real(path).scipy_dstebz_64_))
+    assert fock.bundled_lapack(dbdsdc=(2, 12)) is None
+    monkeypatch.setattr(fock, "_chain_svd", fock._chain_svd.__wrapped__)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
+    fallback = action()
+    assert calls, "the fallback takes np.linalg.svd"
+    assert np.array_equal(fallback.view(np.uint64), bundled.view(np.uint64))
+
+
+@pytest.mark.usefixtures("nonconverging_dbdsdc")
+def test_a_nonconverged_chain_svd_raises():
+    with pytest.raises(ArithmeticError, match=r"^bidiagonal SVD did not converge \(info 3\)$"):
+        squeezed_vacuum(0.5, 0.0, 16)

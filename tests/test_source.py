@@ -116,10 +116,11 @@ def test_scipy_is_imported_inside_functions_only_and_never_sparse():
 
 
 def test_ctypes_is_imported_inside_functions_only():
-    # only sqm's LAPACK loader needs ctypes, so commands that never reach it
-    # do not import it for the package (numpy may still load it for itself)
+    # only the shared bundled-OpenBLAS loader, fock.bundled_lapack, needs
+    # ctypes, so commands that never reach it do not import it for the
+    # package (numpy may still load it for itself)
     found = _imports("ctypes")
-    assert found, "the scan finds the lazy import of sqm's LAPACK loader"
+    assert found, "the scan finds the lazy import of the shared LAPACK loader"
     assert not [f for f in found if f[2]], "module-level ctypes import"
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,3 +190,34 @@ def test_squeezed_wavefunction_width():
     # a step of 0.01 does not resolve a width below 0.005
     with pytest.raises(ValueError, match="steps of at most 2s"):
         squeezed_wavefunction(0.004, 0.0, 0.0, xs)
+
+
+def _chain_reference(xi: complex, dim: int) -> np.ndarray:
+    """exp((xi a+^2 - xi* a^2)/2)|0> on the even levels of the dim-level
+    basis, from its Taylor series on the chain vector at 60 digits."""
+    with mpmath.workdps(60):
+        sites = (dim + 1) // 2
+        xi = mpmath.mpc(xi.real, xi.imag)
+        w = [mpmath.sqrt((2 * k + 2) * (2 * k + 1)) / 2 for k in range(sites - 1)]
+        term = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (sites - 1)
+        total, j = list(term), 0
+        while j < 10 or max(map(abs, term)) > mpmath.mpf(10) ** -40:
+            j += 1
+            term = [((xi * w[k - 1] * term[k - 1] if k else 0)
+                     - (mpmath.conj(xi) * w[k] * term[k + 1] if k < sites - 1 else 0)) / j
+                    for k in range(sites)]
+            total = [a + b for a, b in zip(total, term)]
+        return np.array([complex(t) for t in total])
+
+
+# odd chains of 21 and 25 sites; r puts the least even amplitude near 1e-4
+# (2.8e-4 and 9.9e-5), where 1e-12 relative is about 1e-16 absolute, the
+# roundoff floor of a unit vector.  The square block reads 1.8e-13 and
+# 2.7e-13 here; gesdd's wide-block path reads 3.1e-12 and 2.0e-12.
+@pytest.mark.parametrize("dim, r", [(42, 0.8), (50, 0.9)])
+def test_odd_chain_squeezed_vacuum_matches_a_high_precision_reference(dim, r):
+    xi = r * cmath.exp(0.7j)
+    want = _chain_reference(xi, dim)
+    got = squeezed_vacuum(r, 0.7, dim).amps
+    assert not got[1::2].any()
+    assert np.max(np.abs(got[0::2] - want) / np.abs(want)) <= 1e-12
