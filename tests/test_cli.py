@@ -262,9 +262,11 @@ def test_a_missing_required_flag_is_named(command, flag, capsys):
         # refused before the suite runs: a negative bound would fail every check
         (["verify", "--suite", "coherent", "--tol-scale", "-1"],
          "--tol-scale -1 must be nonnegative"),
+        (["sweep", "--family", "coherent", "--param", "t", "--start", "0", "--stop", "1",
+          "--steps", "3"], "sweep over coherent needs --alpha"),
     ],
     ids=["squeezed-r", "squeezed-sweep-start", "pair-q", "parity-pair-q", "perelomov-k",
-         "wavefunction-points-0", "verify-tol-scale-negative"],
+         "wavefunction-points-0", "verify-tol-scale-negative", "coherent-sweep-alpha"],
 )
 def test_a_refused_parameter_is_one_error_line(argv, message, capsys):
     # each builder checks its own parameters, so every route to it names them
@@ -521,8 +523,12 @@ def test_squeezed_profile_refuses_an_unrepresentable_parameter(argv, flag, tmp_p
         (["--alpha=1e150", "--x-min=2", "--points=3"], "--points"),
         (["--alpha=-1e-1", "--x-max=1e308", "--points=3"], "--points"),
         (["--alpha", "2e4", "--points", "64"], "--alpha"),
+        # a finite span whose grid steps overflow inside np.linspace
+        (["--alpha", "0", "--x-min", "0", "--x-max", "1.7976931348623157e308", "--points", "7"],
+         "x-max"),
     ],
-    ids=["coarse-for-the-width", "huge-mean", "overflowing-span", "cancelling-exponent"],
+    ids=["coarse-for-the-width", "huge-mean", "overflowing-span", "cancelling-exponent",
+         "overflowing-linspace"],
 )
 def test_coherent_profile_refuses_an_unresolving_grid(argv, flag, tmp_path):
     # the squeezed profile's rules with s = 1: one error line, no warning
@@ -666,6 +672,22 @@ def test_config_file_precedence(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["dim"] == 24
 
 
+def test_an_unusable_default_source_is_one_error_line(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    argv = ["state", "--family", "coherent", "--alpha", "1", "--dim", "8"]
+    runs = [run_main(*argv, "--config", str(cfg))]
+    cfg.write_text("# defaults\n\ndim 16\n")
+    runs.append(run_main(*argv, "--config", str(cfg)))
+    monkeypatch.setenv("FOCKBENCH_DIM", "x")
+    runs.append(run_main(*argv[:-2]))
+    assert [(run.code, run.out, run.err, run.warnings) for run in runs] == [
+        (2, "", [f"error: cannot read config file: [Errno 2] No such file or directory: "
+                 f"'{cfg}'"], []),
+        (2, "", [f"error: {cfg}:3: expected key=value"], []),
+        (2, "", ["error: FOCKBENCH_DIM is not an integer: 'x'"], []),
+    ]
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus=1\n")
@@ -684,6 +706,18 @@ def test_sweep_squeezed_observables(capsys):
     for row in rows:
         assert abs(row["mean_n"] - np.sinh(row["r"]) ** 2) <= 1e-6
         assert row["closed_form_fidelity"] >= 1.0 - 1e-7
+
+
+def test_sweep_two_mode_cross_correlation(capsys):
+    assert run_cli("sweep", "--family", "two-mode", "--param", "theta",
+                   "--start", "0", "--stop", "1", "--steps", "5") == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, l.split(",")))) for l in lines[1:]]
+    for row in rows:
+        assert abs(row["cross_product"] + np.sinh(2.0 * row["theta"]) ** 2 / 4.0) <= 1e-9
+        assert row["margin"] >= 0.0
+    assert round(rows[2]["cross_product"], 6) == -0.345274
 
 
 def test_sweep_coherent_trajectory(capsys):
@@ -816,8 +850,11 @@ def test_every_family_through_the_cli(family, capsys):
         ("format=xml\n", ["--family", "coherent", "--alpha", "1", "--dim", "8"],
          ["--format", "xml"]),
         ("alpha=2\n", ["--family", "coherent", "--dim", "16"], ["--alpha", "2"]),
+        ("# defaults\n\n  # indented\nalpha=2  # pinned\n",
+         ["--family", "coherent", "--dim", "16"], ["--alpha", "2"]),
     ],
-    ids=["dim-word", "dim-fraction", "q-fraction", "r-complex", "format-choice", "alpha-int"],
+    ids=["dim-word", "dim-fraction", "q-fraction", "r-complex", "format-choice", "alpha-int",
+         "comments-and-blanks"],
 )
 def test_config_values_take_the_type_of_their_flag(tmp_path, capsys, text, argv, flags):
     cfg = tmp_path / "run.cfg"

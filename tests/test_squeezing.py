@@ -121,6 +121,44 @@ def test_disentangle_rejects_vanishing_base():
         su11_disentangle_general(0.0, np.pi / 2.0, np.pi / 2.0)
 
 
+@pytest.mark.parametrize(
+    "zeta_plus, zeta_minus",
+    [(1e-9, -1e-9), (1e-9j, 1e-9j), (1e-9, 1e-9)],
+    ids=["real-theta", "real-theta-imaginary-zeta", "imaginary-theta"],
+)
+def test_disentangle_series_branch_at_small_theta(zeta_plus, zeta_minus):
+    # |theta| = 1e-9 takes the series branch, where the ordered product is
+    # exp(z+ K+) exp(z- K-) to first order
+    coeffs = su11_disentangle_general(0.0, zeta_plus, zeta_minus)
+    assert abs(coeffs.gamma0 - 1.0) <= 1e-15
+    assert abs(coeffs.gamma_plus - zeta_plus) <= 1e-15
+    assert abs(coeffs.gamma_minus - zeta_minus) <= 1e-15
+
+
+def test_disentangle_is_continuous_across_the_series_switch():
+    # theta = 0.5e-8 takes the series, 2e-8 the closed forms; both match the
+    # closed forms at 40 digits, so the branches meet at |theta| = 1e-8
+    z0, zp = 0.3 - 0.1j, 0.5 + 0.2j
+    sides = []
+    with mpmath.workdps(40):
+        for theta in (0.5e-8, 2e-8):
+            zm = (z0 * z0 / 4.0 - theta * theta) / zp
+            sides.append(abs(cmath.sqrt(z0 * z0 / 4.0 - zp * zm)) < 1e-8)
+            t = mpmath.sqrt(mpmath.mpc(z0) ** 2 / 4 - mpmath.mpc(zp) * mpmath.mpc(zm))
+            sinhc = mpmath.sinh(t) / t
+            base = mpmath.cosh(t) - mpmath.mpc(z0) / 2 * sinhc
+            want = (base**-2, zp * sinhc / base, zm * sinhc / base)
+            got = su11_disentangle_general(z0, zp, zm)
+            for g, w in zip((got.gamma0, got.gamma_plus, got.gamma_minus), want):
+                assert abs(g - complex(w)) <= 1e-15
+    assert sides == [True, False]
+
+
+@pytest.mark.parametrize("dim", [2, 7, 32])
+def test_factored_squeeze_at_zero_is_the_identity(dim):
+    assert np.array_equal(squeeze_operator_factored(0.0, dim), np.eye(dim))
+
+
 def test_theta_vacuum_is_annihilated():
     assert theta_vacuum_residual(0.6, 96) <= 1e-8
 
