@@ -16,11 +16,11 @@ from .fock import (
     ladder_exp_action,
     ladder_matrix,
     ladder_moments,
-    log_series,
     number_moments,
     number_operator,
     quadrature_moments,
 )
+from .su11 import perelomov_series
 
 __all__ = [
     "build_phase_set",
@@ -98,5 +98,5 @@ def phase_squeezed_vacuum(r: float, phi: float, m: int, dim: int) -> FockState:
 
 def phase_squeeze_closed_form(r: float, phi: float, m: int, dim: int) -> FockState:
     amps = np.zeros(dim, dtype=complex)
-    amps[::m] = log_series(np.zeros((dim - 1) // m + 1), np.tanh(r) * np.exp(1j * phi))
+    amps[::m] = perelomov_series(0.5, np.tanh(r) * np.exp(1j * phi), (dim - 1) // m + 1)
     return FockState(amps)

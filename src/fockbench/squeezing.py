@@ -41,6 +41,7 @@ from .twomode import (
     ladders_banded,
     number_diagonals,
 )
+from .su11 import perelomov_series
 
 __all__ = [
     "BogoliubovMap",
@@ -294,7 +295,7 @@ def schmidt_profile(state: TwoModeState, floor: float = 1e-4) -> dict:
 def two_mode_theta_vacuum(Theta: float, dims: tuple[int, int]) -> TwoModeState:
     """Geometric pair expansion exp(a1+ a2+ tanh T)|0,0>, renormalized."""
     amps = np.zeros(dims, dtype=complex)
-    np.fill_diagonal(amps, log_series(np.zeros(min(dims)), np.tanh(Theta)))
+    np.fill_diagonal(amps, perelomov_series(0.5, np.tanh(Theta), min(dims)))
     return TwoModeState(amps)
 
 

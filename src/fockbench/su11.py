@@ -58,18 +58,23 @@ def perelomov_kappa(xi: complex) -> complex:
     return xi * np.tanh(abs(xi)) / abs(xi)
 
 
-def perelomov_state(k: float, xi: complex, dim: int) -> FockState:
-    """Lowest-weight coherent state in closed form.
+def perelomov_series(k: float, kappa: complex, n: int) -> np.ndarray:
+    """Unit vector c_j proportional to sqrt(Gamma(j+2k)/j!) kappa^j, j < n:
+    the lowest-weight profile with Bargmann index k, geometric at k = 1/2."""
+    js = np.arange(n)
+    return log_series(0.5 * (log_gamma(js + 2.0 * k) - log_gamma(js + 1.0)), kappa)
 
-    amps_j = (1-|kappa|^2)^k sqrt(Gamma(j+2k)/(j! Gamma(2k))) kappa^j,
-    identical to applying exp(xi K+ - xi* K-) to |k,0>.
+
+def perelomov_state(k: float, xi: complex, dim: int) -> FockState:
+    """Lowest-weight coherent state in closed form: `perelomov_series` at
+    kappa = perelomov_kappa(xi), which (1-|kappa|^2)^k / sqrt(Gamma(2k))
+    normalizes untruncated; identical to applying exp(xi K+ - xi* K-) to |k,0>.
     """
     _check_rep(k, dim)
     kappa = perelomov_kappa(xi)
     if abs(kappa) >= 1.0 - 1e-6:
         raise ValueError("coset parameter too close to the unit circle")
-    js = np.arange(dim)
-    return FockState(log_series(0.5 * (log_gamma(js + 2.0 * k) - log_gamma(js + 1.0)), kappa))
+    return FockState(perelomov_series(k, kappa, dim))
 
 
 def perelomov_exponential(k: float, xi: complex, dim: int) -> FockState:
@@ -121,9 +126,8 @@ def two_mode_perelomov(xi: complex, q: int, levels: int) -> TwoModeState:
 
 def two_mode_perelomov_closed_form(xi: complex, q: int, levels: int) -> TwoModeState:
     """Closed form exp(tau a+b+)|q,0> with tau = xi tanh|xi| / |xi|."""
-    ns = np.arange(levels)
-    coeffs = log_series(0.5 * (log_gamma(ns + q + 1.0) - log_gamma(ns + 1.0)), perelomov_kappa(xi))
-    return _charge_sector_state(coeffs, q, levels)
+    kappa = perelomov_kappa(xi)
+    return _charge_sector_state(perelomov_series((q + 1) / 2, kappa, levels), q, levels)
 
 
 def perelomov_nonlinear_residual(xi: complex, q: int, levels: int) -> float:
