@@ -66,8 +66,8 @@ PROFILES = {
     "lambda-coherent": ["--lam", "1", "--z", "0.5"],
     "lambda-squeezed": ["--lam", "1", "--xi", "0.3", "--z", "0.5"],
 }
-# every exit-2 route: argparse, the dispatcher, the config file, a builder's
-# own refusal, a suite's input record, a grid and an overflow
+# exit-2 routes through argparse, the dispatcher, the config file, a
+# builder's own refusal, a suite's input record, a grid and an overflow
 USAGE_ERRORS = [
     ["state"],
     ["state", "--family", "coherent"],
@@ -240,7 +240,8 @@ def load() -> tuple[dict, list[tuple[dict, np.ndarray]]]:
     for record in data["commands"]:
         records.append((record, flat[start:start + record["numbers"]]))
         start += record["numbers"]
-    assert start == flat.size, "the number file does not match the records"
+    if start != flat.size:
+        raise ValueError(f"{NUMBERS.name} holds {flat.size} numbers, the records {start}")
     return data["platform"], records
 
 

@@ -160,7 +160,7 @@ for theta, dims in ((0.0, (5, 5)), (0.5, (32, 32)), (-0.8, (40, 23)), (1.4, (9, 
 
 # At k = 300 and |kappa| >= 0.45 the mass sits where the log weights reach
 # 1690, which float64 holds to 2.3e-13, so the amplitudes miss 1e-13 by
-# about 4 %; weights taken relative to j = 0 would hold 4e-15 (ROADMAP 1b)
+# about 4 %; weights taken relative to j = 0 would hold 4e-15 (ROADMAP item 1)
 COARSE_WEIGHTS = pytest.mark.xfail(
     strict=True, reason="log weights near 1690 carry 2.3e-13 of rounding")
 COARSE = {"perelomov_series-300.0--0.45", "perelomov_series-300.0-(0.3+0.4j)"}
