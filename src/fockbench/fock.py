@@ -159,13 +159,13 @@ def check_dim(*dims: int) -> None:
 
 
 def ladder_matrix(weights: np.ndarray, step: int) -> np.ndarray:
-    """Dense complex L with L[n - step, n] = weights[n]: the lowering operator
-    L|n> = weights[n]|n-step> that the exponential and moment routines take
-    as `(weights, step)`.  L+ is its conjugate transpose."""
+    """Dense complex L with L[n - step, n] = weights[n], stacked for weight rows
+    (..., dim): the lowering operator L|n> = weights[n]|n-step> that the
+    exponential and moment routines take as `(weights, step)`; L+ is L.conj().T."""
     weights = np.asarray(weights)
-    out = np.zeros((weights.size, weights.size), dtype=complex)
-    ns = np.arange(step, weights.size)
-    out[ns - step, ns] = weights[step:]
+    out = np.zeros(weights.shape + weights.shape[-1:], dtype=complex)
+    ns = np.arange(step, weights.shape[-1])
+    out[..., ns - step, ns] = weights[..., step:]
     return out
 
 
@@ -340,9 +340,7 @@ def ladder_exp_dense(weights: np.ndarray, step: int, alpha: complex) -> np.ndarr
     chains = np.zeros(length * step)
     chains[: w.size] = w
     chains = chains.reshape(length, step).T  # row c: the weights along chain c
-    raising = np.zeros((step, length, length))
-    ks = np.arange(length - 1)
-    raising[:, ks + 1, ks] = chains[:, 1:]
+    raising = ladder_matrix(chains, 1).real.swapaxes(1, 2)
     out = np.zeros((length, step, length, step), dtype=complex)
     cs = np.arange(step)
     out[:, cs, :, cs] = matrix_exponential(raising - raising.swapaxes(1, 2))

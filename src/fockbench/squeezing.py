@@ -26,6 +26,7 @@ from .fock import (
     fock_basis_state,
     ladder_exp_action,
     ladder_exp_dense,
+    ladder_matrix,
     ladder_moments,
     ladder_nilpotent_exp,
     log_gamma,
@@ -252,12 +253,10 @@ def disentangle_identity_residual(
     n1, n2, real, keep = n1[reach], n2[reach], real[reach], keep[reach]
     k0_diag = np.where(real, (n1 + n2 + 1.0) / 2.0, 0.0)
     weights = np.sqrt(n1) * np.sqrt(n2)  # a1 a2 steps one place down the sector
-    size = weights.shape[1]
-    js, ks = np.arange(size), np.arange(size - 1)
-    gen = np.zeros(weights.shape + (size,), dtype=complex)
+    kminus = ladder_matrix(weights, 1)
+    gen = zeta_minus * kminus + zeta_plus * kminus.swapaxes(1, 2)
+    js = np.arange(weights.shape[1])
     gen[:, js, js] = zeta0 * k0_diag
-    gen[:, ks + 1, ks] = zeta_plus * weights[:, 1:]
-    gen[:, ks, ks + 1] = zeta_minus * weights[:, 1:]
     lhs = matrix_exponential(gen)
     up = ladder_nilpotent_exp(weights, 1, coeffs.gamma_plus).swapaxes(1, 2)
     middle = np.exp(np.log(coeffs.gamma0) * k0_diag)

@@ -20,7 +20,7 @@ from .fock import (
     log_gamma,
     log_series,
 )
-from .twomode import number_diagonals, pair_ladder
+from .twomode import band_apply, number_diagonals, pair_ladder
 
 __all__ = [
     "su11_generators",
@@ -97,18 +97,11 @@ def pair_coherent(zeta: complex, q: int, levels: int) -> TwoModeState:
     return _charge_sector_state(_pair_sector_coeffs(zeta, q, levels), q, levels)
 
 
-def _lower_pair(vec: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """a1 a2 applied to a flattened two-mode vector, by `pair_ladder`."""
-    weights, step = pair_ladder(*dims)
-    out = np.zeros_like(vec)
-    out[:-step] = weights[step:] * vec[step:]
-    return out
-
-
 def pair_residuals(state: TwoModeState, zeta: complex, q: int) -> tuple[float, float]:
     """Norms of (ab - zeta)|psi> and (a+a - b+b - q)|psi>."""
     vec = state.ravel()
-    eig = _lower_pair(vec, state.dims) - zeta * vec
+    weights, step = pair_ladder(*state.dims)
+    eig = band_apply({step: weights}, vec) - zeta * vec
     n1, n2 = number_diagonals(*state.dims)
     charge = (n1 - n2 - q) * vec
     return float(np.linalg.norm(eig)), float(np.linalg.norm(charge))
@@ -137,7 +130,8 @@ def perelomov_nonlinear_residual(xi: complex, q: int, levels: int) -> float:
     state = two_mode_perelomov(xi, q, levels)
     vec = state.ravel()
     n1, n2 = number_diagonals(*state.dims)
-    weighted = 2.0 / (2.0 + q + n1 + n2) * _lower_pair(vec, state.dims)
+    weights, step = pair_ladder(*state.dims)
+    weighted = 2.0 / (2.0 + q + n1 + n2) * band_apply({step: weights}, vec)
     return float(np.linalg.norm(weighted - perelomov_kappa(xi) * vec))
 
 

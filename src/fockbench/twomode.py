@@ -4,10 +4,10 @@ rectangular truncated basis.
 Index order is row-major in (n1, n2): mode 1 varies slowest, so
 a1 = a x I and a2 = I x a.
 
-A banded operator is a dict {k: d_k} of full-length bands with
-(A v)[i] = sum_k d_k[i] v[i + k]; entries whose column i + k leaves the
-basis are zero.  The two ladders are single bands, a1 at k = dim_b and a2
-at k = 1, and their products and adjoints stay banded.
+A banded operator is a dict {k: w_k} of `(weights, step)` ladders, as in
+`fock.ladder_matrix`: A|n> = sum_k w_k[n]|n - k>, where k < 0 raises, and
+w_k[n] = 0 where n - k leaves the basis.  The ladders a1 and a2 are single
+bands at k = dim_b and k = 1; their products and adjoints stay banded.
 """
 
 from __future__ import annotations
@@ -38,34 +38,34 @@ def _shift(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def ladders_banded(dim_a: int, dim_b: int) -> tuple[dict, dict]:
-    """a1 and a2 as banded operators: a1[i, i + dim_b] = sqrt(n1 + 1) and
-    a2[i, i + 1] = sqrt(n2 + 1), which is 0 where a row of the grid ends."""
+    """a1 and a2 as banded operators: a1|n> = sqrt(n1)|n - dim_b> and
+    a2|n> = sqrt(n2)|n - 1>, whose weight is 0 where a row of the grid starts."""
     check_dim(dim_a, dim_b)
     n1, n2 = number_diagonals(dim_a, dim_b)
-    return {dim_b: _shift(np.sqrt(n1), dim_b)}, {1: _shift(np.sqrt(n2), 1)}
+    return {dim_b: np.sqrt(n1)}, {1: np.sqrt(n2)}
 
 
 def band_apply(op: dict, v: np.ndarray) -> np.ndarray:
-    """op v, the bands summed in ascending k (column) order."""
+    """op v, the bands summed in ascending k order."""
     out = np.zeros(v.shape, dtype=np.result_type(v, *op.values()))
     for k in sorted(op):
-        lo, hi = max(0, -k), min(v.size, v.size - k)
+        lo, hi = max(0, k), min(v.size, v.size + k)
         if lo < hi:
-            out[lo:hi] += op[k][lo:hi] * v[lo + k : hi + k]
+            out[lo - k : hi - k] += op[k][lo:hi] * v[lo:hi]
     return out
 
 
 def band_adjoint(op: dict) -> dict:
-    """op+: band -k holds the conjugate of band k, moved to its column."""
-    return {-k: _shift(d, -k).conj() for k, d in op.items()}
+    """op+: band -k holds the conjugate of band k, moved to its target."""
+    return {-k: _shift(w, k).conj() for k, w in op.items()}
 
 
 def band_product(a: dict, b: dict) -> dict:
-    """a b: (a b)[i, i + k + l] = a_k[i] b_l[i + k]."""
+    """a b: (a b)|n> = sum_{k,l} a_k[n - l] b_l[n]|n - k - l>."""
     out = {}
-    for k, d in a.items():
+    for k, w in a.items():
         for l, e in b.items():
-            term = d * _shift(e, k)
+            term = _shift(w, -l) * e
             out[k + l] = out[k + l] + term if k + l in out else term
     return out
 
@@ -80,9 +80,8 @@ def number_diagonals(dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_ladder(dim_a: int, dim_b: int) -> tuple[np.ndarray, int]:
     """Weights and step of the pair operator a1 a2 on the flattened basis:
     a1 a2 |i> = weights[i] |i - step> with weights sqrt(n1 n2) and step
-    dim_b + 1.  The weight is 0 wherever n2 = 0, so no chain wraps past
-    the edge of a row.  This is the one-band operator {step: d} with
-    d[i] = weights[i + step]."""
+    dim_b + 1, the one-band operator {step: weights}.  The weight is 0
+    wherever n2 = 0, so no chain wraps past the edge of a row."""
     check_dim(dim_a, dim_b)
     n1, n2 = number_diagonals(dim_a, dim_b)
     return np.sqrt(n1 * n2), dim_b + 1

@@ -41,7 +41,7 @@ def band_dense(op: dict, size: int) -> np.ndarray:
     out = np.zeros((size, size), dtype=np.result_type(*op.values()))
     for k, d in op.items():
         rows = np.arange(max(0, -k), min(size, size - k))
-        out[rows, rows + k] = d[rows]
+        out[rows, rows + k] = d[rows + k]
     return out
 
 
@@ -219,7 +219,7 @@ def test_band_algebra_matches_sparse_products(size):
     rng = np.random.default_rng(size)
     a = _random_banded(rng, size, (-3, 0, 2, 9))
     b = _random_banded(rng, size, (-1, 4))
-    # entries whose column leaves the basis are never read
+    # entries whose target leaves the basis are never read
     a_ref = sp.csr_matrix(band_dense(a, size))
     b_ref = sp.csr_matrix(band_dense(b, size))
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
