@@ -447,7 +447,11 @@ def _sweep_coherent_t(value: float, args) -> list:
 def _sweep_theta_vacuum(value: float, args) -> list:
     state = sq.squeezed_vacuum_closed_form(value, 0.0, args.dim)
     rep = quadrature_report(state)
-    resid = sq.theta_vacuum_residual(value, args.dim)
+    with np.errstate(over="raise", invalid="raise"):  # its norm overflows from |theta| ~ 356
+        try:
+            resid = sq.theta_vacuum_residual(value, args.dim)
+        except FloatingPointError:
+            raise UsageError(f"theta {_fmt_float(value)}: the residual overflows") from None
     return [value, number_moments(state)[0], rep["var_x"], rep["var_p"], rep["product"], resid]
 
 
@@ -698,7 +702,12 @@ def run_sweep(args: argparse.Namespace) -> tuple[int, dict, Callable]:
         )
     if args.steps < 1:
         raise UsageError("sweep needs at least one step")
-    values = np.linspace(args.start, args.stop, args.steps)
+    # over a finite span only the last step can overflow, and linspace writes stop there
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(args.start, args.stop, args.steps)
+    if not np.isfinite(values).all():
+        raise UsageError(
+            f"--start {args.start:g} to --stop {args.stop:g} spans past the float range")
     rows = np.array([sweep.row(float(v), args) for v in values], dtype=float)
     payload = {
         "family": args.family,

@@ -41,7 +41,8 @@ def coherent_wavefunction(alpha: complex, xs: np.ndarray) -> GridWavefunction:
     xs = np.asarray(xs, dtype=float)
     mean_x = np.sqrt(2.0) * alpha.real
     if xs[0] > mean_x - 8.0 or xs[-1] < mean_x + 8.0:
-        raise ValueError("grid must cover [<x>-8, <x>+8]")
+        raise ValueError(f"grid [{xs[0]:g}, {xs[-1]:g}] must cover "
+                         f"[{mean_x - 8.0:g}, {mean_x + 8.0:g}]")
     psi = np.pi ** -0.25 * np.exp(
         -xs * xs / 2.0 + np.sqrt(2.0) * alpha * xs - alpha * alpha / 2.0 - abs(alpha) ** 2 / 2.0
     )

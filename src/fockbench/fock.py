@@ -337,9 +337,7 @@ def ladder_exp_dense(weights: np.ndarray, step: int, alpha: complex) -> np.ndarr
     take the dense Pade route as one stack."""
     w = abs(alpha) * np.asarray(weights, dtype=float)
     length = -(-w.size // step)
-    chains = np.zeros(length * step)
-    chains[: w.size] = w
-    chains = chains.reshape(length, step).T  # row c: the weights along chain c
+    chains = np.pad(w, (0, length * step - w.size)).reshape(length, step).T  # row c: chain c
     raising = ladder_matrix(chains, 1).real.swapaxes(1, 2)
     out = np.zeros((length, step, length, step), dtype=complex)
     cs = np.arange(step)

@@ -162,7 +162,8 @@ def squeezed_wavefunction(s: float, x0: float, p0: float, xs: np.ndarray) -> Gri
     dx = float(xs[1] - xs[0])
     # steps of at most 2s resolve the width: 8 or more span [x0 - 8s, x0 + 8s]
     if xs[0] > x0 - 8.0 * s or xs[-1] < x0 + 8.0 * s or not dx <= 2.0 * s:
-        raise ValueError(f"grid must cover [x0 - 8s, x0 + 8s] in steps of at most 2s, not {dx:g}")
+        raise ValueError(f"grid [{xs[0]:g}, {xs[-1]:g}] in steps of {dx:g} must cover "
+                         f"[{x0 - 8 * s:g}, {x0 + 8 * s:g}] in steps of at most 2s = {2 * s:g}")
     psi = np.exp(-((xs - x0) ** 2) / (2.0 * s * s) + 1j * p0 * xs)
     return GridWavefunction(float(xs[0]), dx, psi).normalized()
 

@@ -597,6 +597,66 @@ def test_wavefunction_fuzz_exits_cleanly(argv, tmp_path):
         assert errors == [] and run.wrote
 
 
+_INTS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["x", "1e3", "2.5"]))
+
+
+@st.composite
+def _state_sweep_argv(draw):
+    """A `state` of any family or a `sweep` of a family that has one, at
+    dim <= 40, with its flags drawn as `_wavefunction_argv` draws them."""
+    command = draw(st.sampled_from(["state", "sweep"]))
+    names = sorted(name for name, f in cli.FAMILIES.items() if command == "state" or f.sweep)
+    name = draw(st.sampled_from(names))
+    family = cli.FAMILIES[name]
+    argv = [command, "--family", name, "--dim", str(draw(st.integers(-1, 40)))]
+    values = {f"--{p}": _COMPLEX if p in ("alpha", "zeta", "xi", "z") else
+              _INTS if p in ("q", "m") else _REALS for p in family.params + ("phi",)}
+    if command == "sweep":
+        argv += ["--param", family.sweep.param]
+        values.update({"--start": _REALS, "--stop": _REALS,
+                       "--steps": st.integers(-1, 5).map(str)})
+    for flag, strategy in values.items():
+        # --phi is optional everywhere; every other flag is the family's own
+        text = draw(st.none() | strategy if flag == "--phi" else strategy)
+        if text is not None:
+            argv += draw(st.sampled_from([[f"{flag}={text}"], [flag, text]]))
+    return argv
+
+
+@given(argv=_state_sweep_argv())
+# |theta| >= 356 overflows the annihilation residual's norm
+@example(argv=["sweep", "--family", "theta-vacuum", "--param", "theta", "--start", "0",
+               "--stop", "1000", "--steps", "3", "--dim", "16"])
+# a span past the float range, and one whose last step alone overflows in np.linspace
+@example(argv=["sweep", "--family", "two-mode", "--param", "theta", "--start", "-1e308",
+               "--stop", "1e308", "--steps", "3", "--dim", "4"])
+@example(argv=["sweep", "--family", "two-mode", "--param", "theta", "--start", "0",
+               "--stop", "1.7976931348623157e308", "--steps", "7", "--dim", "4"])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_state_and_sweep_fuzz_exits_cleanly(argv, tmp_path):
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    run = run_main(*argv, "--out", str(out))
+    assert run.code in (0, 2) and not run.warnings
+    errors = [line for line in run.err if "error:" in line]
+    if run.code == 2:
+        # argparse prints its usage lines before its one error line
+        assert len(errors) == 1 and not run.wrote
+        assert len(run.err) == 1 or run.err[0].startswith("usage:")
+    else:
+        assert errors == [] and run.wrote
+
+
+@pytest.mark.parametrize("family", [["coherent"], ["squeezed", "--s", "1"]])
+def test_an_uncovering_grid_is_refused_with_both_intervals(family, tmp_path):
+    # <x> = sqrt2 0.5 with s = 1: [-4, 5] misses [<x> - 8, <x> + 8]
+    run = run_main("wavefunction", "--family", *family, "--alpha", "0.5", "--x-min", "-4",
+                   "--x-max", "5", "--points", "301", "--out", str(tmp_path / "out"))
+    assert run.code == 2 and len(run.err) == 1 and not run.wrote and not run.warnings
+    assert run.err[0].startswith("error: grid [-4, 5] ")
+    assert "must cover [-7.29289, 8.70711]" in run.err[0]
+
+
 def test_squeezed_profile_takes_momenta_up_to_the_nyquist_limit(capsys):
     # dx = 0.01 on the default grid: |p0| = sqrt2 |Im alpha| may reach pi / dx
     argv = ["wavefunction", "--family", "squeezed", "--s", "1", "--points", "2001"]
@@ -963,6 +1023,19 @@ def _near_ties() -> list:
                 if m < min(2**53, (10**17 << d) // 5**q):
                     found.append(m / 2.0 ** (d + q))
     return found
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("-inf")])
+def test_a_non_finite_scalar_is_refused(value):
+    for emit in (cli._fmt_float, _emit_json, lambda v: _emit_json({"x": [1.0, v]})):
+        with pytest.raises(ValueError, match="^non-finite value in artifact$"):
+            emit(value)
+
+
+@pytest.mark.parametrize("obj, name", [(object(), "object"), ({"x": {1.0}}, "set")])
+def test_an_unknown_type_is_refused_by_name(obj, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        _emit_json(obj)
 
 
 def test_flat_array_emission_matches_per_element_formatting():
