@@ -8,7 +8,7 @@ file plus rename).  Wall-clock timings go to stderr only so that two
 runs with the same inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error.
+error: any ValueError, ArithmeticError or MemoryError on the way.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 BUILTIN_DIM = 64
-
-
-class UsageError(Exception):
-    pass
 
 
 # -------------------------------------------------------------- formatting
@@ -246,7 +242,7 @@ def _write_text(path, text) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -336,12 +332,12 @@ def _config_value(action: argparse.Action, text: str, where: str):
     try:
         value = text if action.type is None else action.type(text)
     except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"{where}: invalid {action.type.__name__} value: {text!r}") from exc
+        raise ValueError(f"{where}: invalid {action.type.__name__} value: {text!r}") from exc
     if action.choices is not None and value not in action.choices:
         choices = ", ".join(map(repr, action.choices))
-        raise UsageError(f"{where}: invalid choice: {value!r} (choose from {choices})")
+        raise ValueError(f"{where}: invalid choice: {value!r} (choose from {choices})")
     return value
 
 
@@ -357,18 +353,18 @@ def _apply_config(args: argparse.Namespace, options: dict) -> None:
         with open(args.config, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{args.config}:{lineno}: expected key=value")
+            raise ValueError(f"{args.config}:{lineno}: expected key=value")
         key, _, text = line.partition("=")
         key = key.strip()
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("command", "config"):
-            raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
         value = _config_value(options[attr], text.strip(), f"{args.config}:{lineno}: {key!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
@@ -381,12 +377,12 @@ def _apply_defaults(args: argparse.Namespace) -> None:
             try:
                 args.dim = int(env)
             except ValueError as exc:
-                raise UsageError(f"FOCKBENCH_DIM is not an integer: {env!r}") from exc
+                raise ValueError(f"FOCKBENCH_DIM is not an integer: {env!r}") from exc
         elif args.command != "verify":
             # an unpinned dim leaves each verify suite its own tuned one
             args.dim = BUILTIN_DIM
     if args.dim is not None and args.dim < 2:
-        raise UsageError("dimension must be at least 2")
+        raise ValueError("dimension must be at least 2")
     if getattr(args, "phi", None) is None:
         args.phi = 0.0
     if getattr(args, "tol_scale", None) is None and hasattr(args, "tol_scale"):
@@ -400,7 +396,7 @@ def _require(args: argparse.Namespace, names) -> dict:
     for name in names:
         value = getattr(args, name, None)
         if value is None:
-            raise UsageError(f"family {args.family!r} needs --{name}")
+            raise ValueError(f"family {args.family!r} needs --{name}")
         values[name] = value
     return values
 
@@ -438,7 +434,7 @@ def _sweep_squeezed_r(value: float, args) -> list:
 
 def _sweep_coherent_t(value: float, args) -> list:
     if args.alpha is None:
-        raise UsageError("sweep over coherent needs --alpha")
+        raise ValueError("sweep over coherent needs --alpha")
     state = co.evolve_coherent(args.alpha, value, args.dim)
     rep = quadrature_report(state)
     return [value, rep["mean_x"], rep["mean_p"], number_moments(state)[0]]
@@ -451,7 +447,7 @@ def _sweep_theta_vacuum(value: float, args) -> list:
         try:
             resid = sq.theta_vacuum_residual(value, args.dim)
         except FloatingPointError:
-            raise UsageError(f"theta {_fmt_float(value)}: the residual overflows") from None
+            raise ValueError(f"theta {_fmt_float(value)}: the residual overflows") from None
     return [value, number_moments(state)[0], rep["var_x"], rep["var_p"], rep["product"], resid]
 
 
@@ -472,12 +468,12 @@ def _check_profile_grid(xs: np.ndarray, step: float, p0: float, alpha: complex) 
     momentum p0 (Nyquist)."""
     dx = float(xs[1] - xs[0])
     if not dx <= step:
-        raise UsageError(
+        raise ValueError(
             f"--points {xs.size}: grid steps of {dx:g} over [{xs[0]:g}, {xs[-1]:g}] "
             f"exceed {step:g}"
         )
     if dx * abs(p0) > math.pi:
-        raise UsageError(f"--alpha {alpha}: momentum {p0:g} aliases on grid steps of {dx:g}")
+        raise ValueError(f"--alpha {alpha}: momentum {p0:g} aliases on grid steps of {dx:g}")
 
 
 def _coherent_profile(args, grid):
@@ -486,14 +482,14 @@ def _coherent_profile(args, grid):
     # the exponent adds terms of size |alpha|^2: its roundoff, about
     # 4 eps |alpha|^2, stays below 1e-7 here and overflows exp near 2e9
     if not abs(alpha) <= 1e4:
-        raise UsageError(f"--alpha {alpha}: out of the range |alpha| <= 1e4")
+        raise ValueError(f"--alpha {alpha}: out of the range |alpha| <= 1e4")
     return co.coherent_wavefunction(alpha, xs)
 
 
 def _squeezed_profile(args, grid):
     s = _require(args, ("s",))["s"]
     if not 1e-150 <= s <= 1e150:  # s^2 and (x - x0)^2 over [x0 - 8s, x0 + 8s] stay normal
-        raise UsageError(f"--s {s:g} is out of the range 1e-150 <= s <= 1e150")
+        raise ValueError(f"--s {s:g} is out of the range 1e-150 <= s <= 1e150")
     alpha = args.alpha or 0j
     x0 = math.sqrt(2.0) * alpha.real
     p0 = math.sqrt(2.0) * alpha.imag
@@ -657,7 +653,7 @@ def run_state(args: argparse.Namespace) -> tuple[int, dict, Callable]:
 def run_verify(args: argparse.Namespace) -> tuple[int, dict, Callable]:
     # a negative scale would fail every check; 0 forces every nonzero one to fail
     if args.tol_scale < 0:
-        raise UsageError(f"--tol-scale {args.tol_scale:g} must be nonnegative")
+        raise ValueError(f"--tol-scale {args.tol_scale:g} must be nonnegative")
     cfg = {name: getattr(args, name) for name in INPUTS[args.suite]}
     report = run_suite(args.suite, cfg, tol_scale=args.tol_scale)
     print(
@@ -697,16 +693,16 @@ def run_sweep(args: argparse.Namespace) -> tuple[int, dict, Callable]:
     if sweep is None or sweep.param != args.param:
         pairs = sorted((f, e.sweep.param) for f, e in FAMILIES.items() if e.sweep)
         supported = ", ".join(f"{f}/{p}" for f, p in pairs)
-        raise UsageError(
+        raise ValueError(
             f"unsupported sweep {args.family}/{args.param} (supported: {supported})"
         )
     if args.steps < 1:
-        raise UsageError("sweep needs at least one step")
+        raise ValueError("sweep needs at least one step")
     # over a finite span only the last step can overflow, and linspace writes stop there
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(args.start, args.stop, args.steps)
     if not np.isfinite(values).all():
-        raise UsageError(
+        raise ValueError(
             f"--start {args.start:g} to --stop {args.stop:g} spans past the float range")
     rows = np.array([sweep.row(float(v), args) for v in values], dtype=float)
     payload = {
@@ -724,7 +720,7 @@ def run_sweep(args: argparse.Namespace) -> tuple[int, dict, Callable]:
 def run_wavefunction(args: argparse.Namespace) -> tuple[int, dict, Callable]:
     points = 2001 if args.points is None else args.points
     if points < 2:
-        raise UsageError("wavefunction needs at least two points")
+        raise ValueError("wavefunction needs at least two points")
 
     def grid(center, half, step, p0=0.0):
         """The grid over [center - half, center + half] unless --x-min or
@@ -742,11 +738,11 @@ def run_wavefunction(args: argparse.Namespace) -> tuple[int, dict, Callable]:
                 else:
                     _check_profile_grid(xs, step, p0, args.alpha)
                     return xs
-        raise UsageError("x-max must exceed x-min by a grid span within the float range")
+        raise ValueError("x-max must exceed x-min by a grid span within the float range")
 
     profile = FAMILIES[args.family].profile
     if profile is None:
-        raise UsageError(f"no coordinate profile for family {args.family!r}")
+        raise ValueError(f"no coordinate profile for family {args.family!r}")
     wf = profile(args, grid)
     xs = wf.xs
     payload = {
@@ -795,7 +791,7 @@ def main(argv=None) -> int:
         handler, required = COMMANDS[args.command]
         for name in required:
             if getattr(args, name) is None:
-                raise UsageError(f"{args.command} needs --{name}")
+                raise ValueError(f"{args.command} needs --{name}")
         code, payload, table = handler(args)
         if args.format == "csv":
             text = _emit_csv(*table())
@@ -803,7 +799,7 @@ def main(argv=None) -> int:
             text = _emit_json({"schema": SCHEMA_VERSION, "command": args.command, **payload})
         _write_text(args.out, text)
         return code
-    except (UsageError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         # exit 1 means a failed check, so an overflow on the way is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2

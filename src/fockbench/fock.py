@@ -148,9 +148,6 @@ class GridWavefunction:
     def normalized(self) -> "GridWavefunction":
         return GridWavefunction(self.x_min, self.dx, self.values / self.norm)
 
-    def l2_distance(self, other: "GridWavefunction") -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values - other.values) ** 2) * self.dx))
-
 
 def check_dim(*dims: int) -> None:
     """Reject a truncation that keeps fewer than two levels of some mode."""

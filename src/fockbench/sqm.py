@@ -97,15 +97,15 @@ def hermite_levels(xs: np.ndarray, n_levels: int) -> np.ndarray:
     return out
 
 
-def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunction]:
-    """Deformed eigenstates, renormalized on the grid.
+def chi_states(family: IsospectralFamily, n_levels: int) -> np.ndarray:
+    """Deformed eigenstates, renormalized on the grid: row n of the real
+    (n_levels, points) array is chi_n.
 
     chi_0 carries the closed-form prefactor sqrt(lam(lam+1)); higher
     levels get the correction phi * (d/dx + x) psi_n / (2n), with the
-    derivative taken by the centered 3-point stencil; all levels form one
-    real array, each row normalized as by `GridWavefunction.normalized`
-    (a complex row divided by its real norm is multiplied by the
-    reciprocal, so the rows equal the complex route bit for bit).
+    derivative taken by the centered 3-point stencil.  Each row is
+    multiplied by the reciprocal of its norm, as a complex row divided by
+    its real norm is, so the rows equal the complex route bit for bit.
     """
     if n_levels > MAX_LEVELS:
         raise ValueError("grid accuracy budget covers at most 12 levels")
@@ -117,7 +117,7 @@ def chi_states(family: IsospectralFamily, n_levels: int) -> list[GridWavefunctio
     values[0] = np.sqrt(lam * (lam + 1.0)) * family.psi0 / (lam + family.cumulative)
     values[1:] = psis[1:] + family.phi_lambda * (dpsis[1:] + xs * psis[1:]) / (2.0 * ns)
     values *= 1.0 / np.sqrt(np.sum(np.abs(values) ** 2, axis=1) * dx)[:, None]
-    return [GridWavefunction(xs[0], dx, row) for row in values]
+    return values
 
 
 def deformed_potential(family: IsospectralFamily) -> np.ndarray:
@@ -224,10 +224,9 @@ def modal_eigen_residual(coeffs: np.ndarray, z: complex) -> float:
 
 
 def assemble(family: IsospectralFamily, coeffs: np.ndarray) -> GridWavefunction:
-    """The grid wavefunction sum_n coeffs[n] chi_n, one term per modal
-    coefficient, renormalized on the grid."""
-    chis = chi_states(family, coeffs.size)
+    """The grid wavefunction sum_n coeffs[n] chi_n, one row of
+    `chi_states` per modal coefficient, renormalized on the grid."""
     values = np.zeros(family.xs.size, dtype=complex)
-    for c, chi in zip(coeffs, chis):
-        values += c * chi.values
+    for c, chi in zip(coeffs, chi_states(family, coeffs.size)):
+        values += c * chi
     return GridWavefunction(family.xs[0], family.dx, values).normalized()
