@@ -39,15 +39,16 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
 def coherent_wavefunction(alpha: complex, xs: np.ndarray) -> GridWavefunction:
     """Coordinate-space Gaussian of the coherent state, grid normalized."""
     xs = np.asarray(xs, dtype=float)
+    dx = float(xs[1] - xs[0])
     mean_x = np.sqrt(2.0) * alpha.real
-    if xs[0] > mean_x - 8.0 or xs[-1] < mean_x + 8.0:
-        raise ValueError(f"grid [{xs[0]:g}, {xs[-1]:g}] must cover "
-                         f"[{mean_x - 8.0:g}, {mean_x + 8.0:g}]")
+    # the squeezed profile's rule at s = 1: steps of at most 2 over [<x> - 8, <x> + 8]
+    if xs[0] > mean_x - 8.0 or xs[-1] < mean_x + 8.0 or not dx <= 2.0:
+        raise ValueError(f"grid [{xs[0]:g}, {xs[-1]:g}] in steps of {dx:g} must cover "
+                         f"[{mean_x - 8.0:g}, {mean_x + 8.0:g}] in steps of at most 2")
     psi = np.pi ** -0.25 * np.exp(
         -xs * xs / 2.0 + np.sqrt(2.0) * alpha * xs - alpha * alpha / 2.0 - abs(alpha) ** 2 / 2.0
     )
-    wf = GridWavefunction(float(xs[0]), float(xs[1] - xs[0]), psi)
-    return wf.normalized()
+    return GridWavefunction(float(xs[0]), dx, psi).normalized()
 
 
 def evolve_coherent(alpha0: complex, t: float, dim: int) -> FockState:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fockbench import coherent as co
@@ -645,6 +645,68 @@ def test_state_and_sweep_fuzz_exits_cleanly(argv, tmp_path):
         assert len(run.err) == 1 or run.err[0].startswith("usage:")
     else:
         assert errors == [] and run.wrote
+
+
+def _verify_argv(run):
+    suite, pinned = run
+    pinned = {f: min(v, 40) if f == "dim" else v for f, v in pinned.items()}  # dims <= 40
+    return ["verify", "--suite", suite, *(f"--{f}={v!r}" for f, v in pinned.items())]
+
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _config_forms(draw):
+    """A command drawn by the fuzz strategies above, and the same command
+    with a random non-empty subset of its value flags moved into a config
+    file that also holds comments, blank lines and spacing around '='.
+    `--family` and `--suite` stay on the command line."""
+    argv = draw(st.one_of(_state_sweep_argv(), _wavefunction_argv(),
+                          _pinned_runs().map(_verify_argv)))
+    argv += draw(st.sampled_from([[], ["--format=json"], ["--format", "csv"]]))
+    pairs, i = [], 1  # (flag, value, its tokens in argv)
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        tokens = argv[i:i + 1] if eq else argv[i:i + 2]
+        pairs.append((flag, value if eq else tokens[1], tokens))
+        i += len(tokens)
+    movable = [j for j, (flag, _, _) in enumerate(pairs) if flag not in ("--family", "--suite")]
+    assume(movable)
+    moved = draw(st.lists(st.sampled_from(movable), min_size=1, unique=True))
+    kept = [argv[0]] + [t for j, (_, _, tokens) in enumerate(pairs) if j not in moved
+                        for t in tokens]
+    lines = []
+    for j in moved:
+        flag, value, _ = pairs[j]
+        key = flag[2:].replace("-", "_") if draw(st.booleans()) else flag[2:]
+        lines += draw(st.sampled_from([[], [""], ["# defaults"], ["  # x = 1"]]))
+        comment = draw(st.sampled_from(["", "  # pinned"]))
+        lines.append(f"{draw(_SPACES)}{key}{draw(_SPACES)}={draw(_SPACES)}{value}{comment}")
+    return argv, kept, "\n".join(lines) + "\n"
+
+
+@given(case=_config_forms())
+@example(case=(["state", "--family", "coherent", "--dim", "8", "--alpha", "-0.7+0.3j"],
+               ["state", "--family", "coherent", "--dim", "8"], "# pinned\nalpha = -0.7+0.3j\n"))
+@example(case=(["state", "--family", "coherent", "--alpha", "1", "--dim", "2.5"],
+               ["state", "--family", "coherent", "--alpha", "1"], "dim=2.5\n"))
+@example(case=(["state", "--family", "coherent", "--alpha", "1", "--bogus", "1"],
+               ["state", "--family", "coherent", "--alpha", "1"], "\n  bogus =1\n"))
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_config_file_acts_as_the_flags_it_holds(case, tmp_path):
+    argv, kept, text = case
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    flags, config = run_main(*argv), run_main(*kept, "--config", str(cfg))
+    assert flags.code in (0, 1, 2)
+    if flags.code == 2:
+        # the message names the file line instead of the flag
+        assert config.code == 2 and not config.warnings
+        assert len([line for line in config.err if "error:" in line]) == 1
+    else:
+        assert (config.code, config.out, config.warnings) == (flags.code, flags.out,
+                                                              flags.warnings)
 
 
 @pytest.mark.parametrize("family", [["coherent"], ["squeezed", "--s", "1"]])

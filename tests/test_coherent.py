@@ -136,3 +136,12 @@ def test_wavefunction_norm_and_center():
     assert abs(mean_x - np.sqrt(2.0) * alpha) <= 1e-8
     with pytest.raises(ValueError):
         coherent_wavefunction(4.0, np.linspace(-2, 2, 101))
+
+
+def test_wavefunction_refuses_a_grid_too_coarse_for_the_unit_width():
+    # the squeezed profile's rule at s = 1: [-9, 10] covers [<x> - 8, <x> + 8],
+    # but 4 points leave steps of 6.33 over a Gaussian of width 1
+    with pytest.raises(ValueError, match=r"in steps of 6\.33333 must cover .* at most 2$"):
+        coherent_wavefunction(0.5, np.linspace(-9, 10, 4))
+    wf = coherent_wavefunction(0.5, np.linspace(-9, 11, 11))  # steps of exactly 2
+    assert wf.dx == 2.0 and abs(wf.norm - 1.0) <= 1e-12

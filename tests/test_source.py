@@ -1,9 +1,11 @@
 """Every function in the package is reached from the package itself,
 every dataclass field is read there, scipy and ctypes are imported only
-where they are used, never at module level, and each verify suite takes
-exactly the inputs its record declares."""
+where they are used, never at module level, each verify suite takes
+exactly the inputs its record declares, and every exception the package
+raises is one that the CLI turns into exit 2."""
 
 import ast
+import builtins
 import inspect
 from pathlib import Path
 
@@ -131,3 +133,53 @@ def test_each_suite_takes_exactly_its_record_inputs():
         params = inspect.signature(suite).parameters
         assert list(params) == list(verify.INPUTS[name]), name
         assert all(p.default is p.empty for p in params.values()), name
+
+
+# the raises `main` does not turn into exit 2, by (module, enclosing
+# function, exception), each with the reason no user reaches it
+UNCAUGHT_RAISES = {
+    ("cli.py", None, "SystemExit"): "the __main__ guard hands main's exit code to the "
+    "interpreter",
+    ("cli.py", "_emit_json", "TypeError"): "a guard against payload types the program never "
+    "builds",
+    ("verify.py", "run_suite", "KeyError"): "argparse choices keep an unknown suite off the "
+    "CLI path",
+}
+# argparse reports their ArgumentTypeError as a usage error, exit 2
+FLAG_CONVERTERS = {"_complex_arg", "_float_arg"}
+
+
+def _raises():
+    """(module file, innermost enclosing function or None, raised exception
+    as written) for each raise statement in the package."""
+    found = []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((path.name, owner, None if exc is None else ast.unparse(exc)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    return found
+
+
+def _exits_two(path, owner, name):
+    # `main` catches ValueError and ArithmeticError; a class the package
+    # defines, or a bare re-raise, could slip past it as a traceback
+    builtin = getattr(builtins, name or "", None)
+    if isinstance(builtin, type) and issubclass(builtin, (ValueError, ArithmeticError)):
+        return True
+    return name == "argparse.ArgumentTypeError" and path == "cli.py" and owner in FLAG_CONVERTERS
+
+
+def test_every_raise_exits_two_through_main():
+    found = _raises()
+    assert len(found) > len(UNCAUGHT_RAISES), "the scan finds the package's raises"
+    assert [r for r in found if not _exits_two(*r) and r not in UNCAUGHT_RAISES] == []
+    # each listed exception is still raised where it is listed
+    assert set(UNCAUGHT_RAISES) <= set(found)
