@@ -36,8 +36,6 @@ from . import su11
 from .fock import FockState, number_moments, quadrature_report
 from .verify import INPUTS, SUITES, run_suite
 
-__all__ = ["main"]
-
 SCHEMA_VERSION = 1
 BUILTIN_DIM = 64
 

@@ -17,14 +17,6 @@ from .fock import (
     log_series,
 )
 
-__all__ = [
-    "coherent_ladder",
-    "displacement_operator",
-    "coherent_wavefunction",
-    "evolve_coherent",
-    "classical_trajectory",
-]
-
 
 def coherent_ladder(alpha: complex, dim: int) -> FockState:
     """Coherent state by direct summation: amplitudes alpha^n / sqrt(n!),

@@ -18,29 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "FockState",
-    "TwoModeState",
-    "GridWavefunction",
-    "ladder_matrix",
-    "build_ladder",
-    "build_quadratures",
-    "number_operator",
-    "matrix_exponential",
-    "ladder_exp_action",
-    "ladder_exp_dense",
-    "ladder_nilpotent_exp",
-    "ladder_moments",
-    "quadrature_moments",
-    "quadrature_report",
-    "number_moments",
-    "fock_basis_state",
-    "check_dim",
-    "log_gamma",
-    "log_series",
-    "max_abs_interior",
-]
-
 # norm^2 slack allowed for a constructed state (mass lost to the truncation tail)
 STATE_TAIL_TOL = 1e-10
 
@@ -116,9 +93,6 @@ class TwoModeState:
 
     def normalized(self) -> "TwoModeState":
         return TwoModeState(self.amps / self.norm)
-
-    def ravel(self) -> np.ndarray:
-        return self.amps.reshape(-1)
 
     def fidelity(self, other: "TwoModeState") -> float:
         return abs(np.vdot(self.amps, other.amps)) ** 2

@@ -22,13 +22,6 @@ from .fock import (
 )
 from .su11 import perelomov_series
 
-__all__ = [
-    "build_phase_set",
-    "number_phase_uncertainty",
-    "build_omega_ops",
-    "phase_squeezed_vacuum",
-]
-
 
 def build_phase_set(dim: int) -> np.ndarray:
     """Phase operator G-, with G-|n> = |n-1>; cos phi = (G+ + G-)/2 and

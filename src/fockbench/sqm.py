@@ -20,20 +20,6 @@ from .fock import (GridWavefunction, build_ladder, bundled_lapack, fock_basis_st
                    ladder_exp_action)
 from .squeezing import squeeze_action
 
-__all__ = [
-    "IsospectralFamily",
-    "check_deformation",
-    "build_family",
-    "hermite_levels",
-    "chi_states",
-    "deformed_potential",
-    "spectral_check",
-    "modal_coherent_coeffs",
-    "modal_squeezed_coeffs",
-    "modal_eigen_residual",
-    "assemble",
-]
-
 GRID_MIN = -10.0
 GRID_MAX = 10.0
 GRID_POINTS = 2001

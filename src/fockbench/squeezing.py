@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,63 +42,6 @@ from .twomode import (
     number_diagonals,
 )
 from .su11 import perelomov_series
-
-__all__ = [
-    "BogoliubovMap",
-    "DisentangleCoeffs",
-    "GeneralizedFactorSolution",
-    "squeeze_operator",
-    "squeeze_action",
-    "squeezed_vacuum",
-    "squeezed_vacuum_closed_form",
-    "squeeze_operator_factored",
-    "squeezed_wavefunction",
-    "theta_vacuum_residual",
-    "vacuum_moment_u",
-    "vacuum_moment_closed_form",
-    "su11_disentangle_general",
-    "disentangle_identity_residual",
-    "schmidt_profile",
-    "two_mode_theta_vacuum",
-    "two_mode_noise_report",
-    "bogoliubov_apply",
-    "lambda_mode_factorization",
-    "generalized_condition_solution",
-]
-
-
-@dataclass(frozen=True)
-class BogoliubovMap:
-    """Hyperbolic mixing of a and a+ with parameter theta."""
-
-    theta: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        ch, sh = np.cosh(self.theta), np.sinh(self.theta)
-        return np.array([[ch, -sh], [-sh, ch]])
-
-    @property
-    def determinant(self) -> float:
-        m = self.matrix
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-    def compose(self, other: "BogoliubovMap") -> "BogoliubovMap":
-        return BogoliubovMap(self.theta + other.theta)
-
-
-@dataclass(frozen=True)
-class DisentangleCoeffs:
-    gamma0: complex
-    gamma_plus: complex
-    gamma_minus: complex
-
-
-@dataclass(frozen=True)
-class GeneralizedFactorSolution:
-    phi_normalizable: bool
-    chi_normalizable: bool
-    pde_residual: float
 
 
 # ---------------------------------------------------------------- single mode
@@ -145,12 +87,12 @@ def squeezed_vacuum_closed_form(r: float, phi: float, dim: int) -> FockState:
 def squeeze_operator_factored(xi: complex, dim: int) -> np.ndarray:
     """Squeeze operator as the ordered product of up, diagonal and down
     exponentials obtained from the general disentangling coefficients."""
-    coeffs = su11_disentangle_general(0.0, xi, -np.conj(xi))
+    gamma0, gamma_plus, gamma_minus = su11_disentangle_general(0.0, xi, -np.conj(xi))
     ns = np.arange(dim, dtype=float)
     weights = np.sqrt(ns * (ns - 1.0))  # a^2 |n> = weights[n] |n - 2>
-    up = ladder_nilpotent_exp(weights, 2, coeffs.gamma_plus / 2.0).T
-    down = ladder_nilpotent_exp(weights, 2, coeffs.gamma_minus / 2.0)
-    middle = np.exp(np.log(coeffs.gamma0) * (ns + 0.5) / 2.0)
+    up = ladder_nilpotent_exp(weights, 2, gamma_plus / 2.0).T
+    down = ladder_nilpotent_exp(weights, 2, gamma_minus / 2.0)
+    middle = np.exp(np.log(gamma0) * (ns + 0.5) / 2.0)
     return (up * middle) @ down
 
 
@@ -168,11 +110,27 @@ def squeezed_wavefunction(s: float, x0: float, p0: float, xs: np.ndarray) -> Gri
     return GridWavefunction(float(xs[0]), dx, psi).normalized()
 
 
+def bogoliubov_matrix(theta: float) -> np.ndarray:
+    """Hyperbolic mixing [[cosh t, -sinh t], [-sinh t, cosh t]] of a and a+."""
+    ch, sh = np.cosh(theta), np.sinh(theta)
+    return np.array([[ch, -sh], [-sh, ch]])
+
+
+def bogoliubov_apply(
+    theta: float, a: np.ndarray, adag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """a cosh t - a+ sinh t and its adjoint."""
+    if a.shape != adag.shape:
+        raise ValueError("ladder matrices must share a shape")
+    ch, sh = np.cosh(theta), np.sinh(theta)
+    a_theta = ch * a - sh * adag
+    return a_theta, a_theta.conj().T
+
+
 def theta_vacuum_residual(theta: float, dim: int) -> float:
     """Norm of (a cosh t - a+ sinh t) applied to the theta-vacuum."""
     state = squeezed_vacuum_closed_form(theta, 0.0, dim)
-    a, adag = build_ladder(dim)
-    rotated = np.cosh(theta) * a - np.sinh(theta) * adag
+    rotated, _ = bogoliubov_apply(theta, *build_ladder(dim))
     return float(np.linalg.norm(rotated @ state.amps))
 
 
@@ -199,9 +157,9 @@ def vacuum_moment_closed_form(theta: float, n: int) -> complex:
 
 def su11_disentangle_general(
     zeta0: complex, zeta_plus: complex, zeta_minus: complex
-) -> DisentangleCoeffs:
-    """Coefficients of exp(z0 K0 + z+ K+ + z- K-) as an ordered product
-    exp(g+ K+) exp(ln g0 K0) exp(g- K-).
+) -> tuple[complex, complex, complex]:
+    """Coefficients (g0, g+, g-) of exp(z0 K0 + z+ K+ + z- K-) as an
+    ordered product exp(g+ K+) exp(ln g0 K0) exp(g- K-).
 
     theta^2 = z0^2/4 - z+ z-; negative theta^2 continues through the
     complex square root and the series limit covers theta -> 0.
@@ -223,7 +181,7 @@ def su11_disentangle_general(
     gamma0 = base ** -2.0
     gamma_plus = zeta_plus * sinhc / base
     gamma_minus = zeta_minus * sinhc / base
-    return DisentangleCoeffs(gamma0, gamma_plus, gamma_minus)
+    return gamma0, gamma_plus, gamma_minus
 
 
 def disentangle_identity_residual(
@@ -247,7 +205,7 @@ def disentangle_identity_residual(
     cut_a, cut_b = da // 3, db // 3
     if cut_a < 1 or cut_b < 1:
         raise ValueError("dims must be at least 3 for a non-empty interior block")
-    coeffs = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
+    gamma0, gamma_plus, gamma_minus = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
     n1, n2, real = charge_sectors(da, db)
     keep = real & (n1 < cut_a) & (n2 < cut_b)
     reach = keep.any(axis=1)
@@ -259,9 +217,9 @@ def disentangle_identity_residual(
     js = np.arange(weights.shape[1])
     gen[:, js, js] = zeta0 * k0_diag
     lhs = matrix_exponential(gen)
-    up = ladder_nilpotent_exp(weights, 1, coeffs.gamma_plus).swapaxes(1, 2)
-    middle = np.exp(np.log(coeffs.gamma0) * k0_diag)
-    rhs = (up * middle[:, None, :]) @ ladder_nilpotent_exp(weights, 1, coeffs.gamma_minus)
+    up = ladder_nilpotent_exp(weights, 1, gamma_plus).swapaxes(1, 2)
+    middle = np.exp(np.log(gamma0) * k0_diag)
+    rhs = (up * middle[:, None, :]) @ ladder_nilpotent_exp(weights, 1, gamma_minus)
     return float(np.abs((lhs - rhs)[keep[:, :, None] & keep[:, None, :]]).max())
 
 
@@ -330,16 +288,6 @@ def two_mode_noise_report(state: TwoModeState) -> dict:
     }
 
 
-def bogoliubov_apply(
-    bmap: BogoliubovMap, a: np.ndarray, adag: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if a.shape != adag.shape:
-        raise ValueError("ladder matrices must share a shape")
-    ch, sh = np.cosh(bmap.theta), np.sinh(bmap.theta)
-    a_theta = ch * a - sh * adag
-    return a_theta, a_theta.conj().T
-
-
 def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[float, float, float]:
     """Cross-check of the rotated-mode route to the pair vacuum.
 
@@ -391,7 +339,7 @@ def lambda_mode_factorization(Theta: float, dims: tuple[int, int]) -> tuple[floa
     built = _nilpotent_action(gen, vac)
     built = built / np.linalg.norm(built)
     target = two_mode_theta_vacuum(Theta, dims)
-    deficit = 1.0 - abs(np.vdot(built, target.ravel())) ** 2
+    deficit = 1.0 - abs(np.vdot(built, target.amps.ravel())) ** 2
     return comm, annih, float(deficit)
 
 
@@ -410,7 +358,7 @@ def _nilpotent_action(gen: dict, v: np.ndarray) -> np.ndarray:
 # ------------------------------------------------- generalized condition
 
 
-def generalized_condition_solution(Theta: float, c: float) -> GeneralizedFactorSolution:
+def generalized_condition_solution(Theta: float, c: float) -> tuple[bool, bool, float]:
     """Factorized Gaussian solution of the first-order two-coordinate
     condition with mu = cosh T, nu = -sinh T and the linear couplings
     f(x1) = -x1, g(x2) = -x2.
@@ -422,6 +370,7 @@ def generalized_condition_solution(Theta: float, c: float) -> GeneralizedFactorS
     quadratic exponent and reported, never assumed.  The residual of the
     product against the defining equation is measured by centered finite
     differences on a 256 x 256 subsample of the two axes.
+    Returns (phi normalizable, chi normalizable, residual).
     """
     if abs(Theta) < 0.1:
         raise ValueError("the factor equation degenerates as T -> 0")
@@ -453,8 +402,4 @@ def generalized_condition_solution(Theta: float, c: float) -> GeneralizedFactorS
 
     phi_norm = -(mu + nu) / (2.0 * mu) < 0
     chi_norm = -(mu - nu) / (2.0 * nu) < 0
-    return GeneralizedFactorSolution(
-        phi_normalizable=bool(phi_norm),
-        chi_normalizable=bool(chi_norm),
-        pde_residual=residual,
-    )
+    return bool(phi_norm), bool(chi_norm), residual

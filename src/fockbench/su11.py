@@ -22,14 +22,6 @@ from .fock import (
 )
 from .twomode import band_apply, number_diagonals, pair_ladder
 
-__all__ = [
-    "su11_generators",
-    "perelomov_state",
-    "pair_coherent",
-    "two_mode_perelomov",
-    "parity_pair_state",
-]
-
 
 def _check_rep(k: float, dim: int) -> None:
     if k <= 0:
@@ -99,7 +91,7 @@ def pair_coherent(zeta: complex, q: int, levels: int) -> TwoModeState:
 
 def pair_residuals(state: TwoModeState, zeta: complex, q: int) -> tuple[float, float]:
     """Norms of (ab - zeta)|psi> and (a+a - b+b - q)|psi>."""
-    vec = state.ravel()
+    vec = state.amps.ravel()
     weights, step = pair_ladder(*state.dims)
     eig = band_apply({step: weights}, vec) - zeta * vec
     n1, n2 = number_diagonals(*state.dims)
@@ -128,7 +120,7 @@ def perelomov_nonlinear_residual(xi: complex, q: int, levels: int) -> float:
     two-mode Perelomov state: [2/(2+q+N1+N2)] ab acts as multiplication
     by xi tanh|xi| / |xi|."""
     state = two_mode_perelomov(xi, q, levels)
-    vec = state.ravel()
+    vec = state.amps.ravel()
     n1, n2 = number_diagonals(*state.dims)
     weights, step = pair_ladder(*state.dims)
     weighted = 2.0 / (2.0 + q + n1 + n2) * band_apply({step: weights}, vec)

@@ -16,16 +16,6 @@ import numpy as np
 
 from .fock import check_dim
 
-__all__ = [
-    "ladders_banded",
-    "band_apply",
-    "band_adjoint",
-    "band_product",
-    "number_diagonals",
-    "pair_ladder",
-    "charge_sectors",
-]
-
 
 def _shift(x: np.ndarray, k: int) -> np.ndarray:
     """y[i] = x[i + k], zero where i + k leaves the range."""

@@ -327,11 +327,11 @@ def test_criterion_10_general_disentanglement():
         arg = rng.uniform(0.0, 2 * np.pi, 3)
         z0, zp, zm = mag * np.exp(1j * arg)
         worst = max(worst, disentangle_identity_residual(z0, zp, zm, (24, 24)))
-    coeffs = su11_disentangle_general(0.0, 0.4, -0.4)
+    gamma0, gamma_plus, gamma_minus = su11_disentangle_general(0.0, 0.4, -0.4)
     spec_err = max(
-        abs(coeffs.gamma0 - np.cosh(0.4) ** -2.0),
-        abs(coeffs.gamma_plus - np.tanh(0.4)),
-        abs(coeffs.gamma_minus + np.tanh(0.4)),
+        abs(gamma0 - np.cosh(0.4) ** -2.0),
+        abs(gamma_plus - np.tanh(0.4)),
+        abs(gamma_minus + np.tanh(0.4)),
     )
     ok = worst <= 1e-8 and spec_err <= 1e-14
     report(10, "general splitting identity, 20 random triples", ok,
@@ -379,7 +379,7 @@ def test_criterion_12_generalized_condition():
     worst = 0.0
     for theta in (0.1, 0.5):
         for c in (0.0, 1.0):
-            worst = max(worst, generalized_condition_solution(theta, c).pde_residual)
+            worst = max(worst, generalized_condition_solution(theta, c)[2])
     ok = worst <= 1e-4
     report(12, "factorized solution of the generalized condition", ok,
            f"worst residual {worst:.3e} <= 1e-4")

@@ -107,7 +107,7 @@ def _sparse_noise_report(state: TwoModeState) -> dict:
     p1 = (-1j * (a1 - a1.conj().T) / np.sqrt(2.0)).tocsr()
     x2 = ((a2 + a2.conj().T) / np.sqrt(2.0)).tocsr()
     p2 = (-1j * (a2 - a2.conj().T) / np.sqrt(2.0)).tocsr()
-    vec = state.ravel()
+    vec = state.amps.ravel()
 
     def ev(op) -> float:
         return float(np.vdot(vec, op @ vec).real)
@@ -264,14 +264,14 @@ def _dense_identity_residual(zeta0, zeta_plus, zeta_minus, dims):
     pair_up = pair_down.conj().T
     n1, n2 = number_diagonals(da, db)
     k0_diag = (n1 + n2 + 1.0) / 2.0
-    coeffs = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
+    gamma0, gamma_plus, gamma_minus = su11_disentangle_general(zeta0, zeta_plus, zeta_minus)
     lhs = matrix_exponential(
         zeta0 * np.diag(k0_diag) + zeta_plus * pair_up + zeta_minus * pair_down
     )
     rhs = (
-        _nilpotent_series(coeffs.gamma_plus * pair_up)
-        @ np.diag(np.exp(np.log(coeffs.gamma0) * k0_diag))
-        @ _nilpotent_series(coeffs.gamma_minus * pair_down)
+        _nilpotent_series(gamma_plus * pair_up)
+        @ np.diag(np.exp(np.log(gamma0) * k0_diag))
+        @ _nilpotent_series(gamma_minus * pair_down)
     )
     idx = np.flatnonzero((n1 < da // 3) & (n2 < db // 3))
     return float(np.abs(lhs[np.ix_(idx, idx)] - rhs[np.ix_(idx, idx)]).max())
@@ -324,10 +324,10 @@ def test_rotated_mode_series_matches_expm_multiply(theta, dims):
 
 @pytest.mark.parametrize("theta,c", [(0.1, 0.0), (0.1, 1.0), (0.5, 0.0), (0.5, 1.0)])
 def test_factorized_condition_solution(theta, c):
-    sol = generalized_condition_solution(theta, c)
-    assert sol.pde_residual <= 1e-4
-    assert sol.phi_normalizable
-    assert not sol.chi_normalizable
+    phi_normalizable, chi_normalizable, residual = generalized_condition_solution(theta, c)
+    assert residual <= 1e-4
+    assert phi_normalizable
+    assert not chi_normalizable
 
 
 def test_condition_solution_rejects_small_mixing():
