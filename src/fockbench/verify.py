@@ -286,7 +286,7 @@ def suite_single_squeeze(dim) -> list[Check]:
     a_th, adag_th = sq.bogoliubov_apply(0.7, *build_ladder(64))
     comm = max_abs_interior(a_th @ adag_th - adag_th @ a_th - np.eye(64), 63)
     checks.append(Check("commutator preserved under the map", comm, 1e-10))
-    comp = np.abs(sq.bogoliubov_matrix(0.7 + 0.4) - sq.bogoliubov_matrix(1.1)).max()
+    comp = np.abs(hyp @ sq.bogoliubov_matrix(0.4) - sq.bogoliubov_matrix(1.1)).max()
     checks.append(Check("hyperbolic composition", float(comp), 1e-12))
 
     worst = 0.0

@@ -207,7 +207,7 @@ def test_number_shift_route_gives_geometric_profile():
 
 def test_bogoliubov_map():
     assert abs(np.linalg.det(bogoliubov_matrix(0.7)) - 1.0) <= 1e-14
-    combined = bogoliubov_matrix(0.7 + 0.4)
+    combined = bogoliubov_matrix(0.7) @ bogoliubov_matrix(0.4)
     assert np.abs(combined - bogoliubov_matrix(1.1)).max() <= 1e-12
     a, adag = build_ladder(64)
     a_th, adag_th = bogoliubov_apply(0.7, a, adag)
