@@ -564,13 +564,28 @@ _COMPLEX = st.one_of(
 )
 
 
+# values both profiles accept together: x0 = sqrt2 Re alpha and p0 = sqrt2 Im alpha
+# stay below 3.6 and s <= 1.5, so [x0 - 8s, x0 + 8s] lies inside [-16, 16], and
+# 100 or more points over at most [-25, 25] give steps below 2s and pi / |p0|
+_PROFILE_VALUES = {
+    "--alpha": st.builds("{!r}{:+}j".format, st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+    "--s": st.floats(0.3, 1.5).map(repr),
+    "--x-min": st.floats(-25.0, -16.0).map(repr),
+    "--x-max": st.floats(16.0, 25.0).map(repr),
+    "--points": st.integers(100, 400).map(str),
+}
+_EXTREME_VALUES = {"--alpha": _COMPLEX, "--s": _REALS, "--x-min": _REALS, "--x-max": _REALS,
+                   "--points": st.integers(-2, 64).map(str)}
+
+
 @st.composite
 def _wavefunction_argv(draw):
     argv = ["wavefunction", "--family", draw(st.sampled_from(["coherent", "squeezed"]))]
-    values = {"--alpha": _COMPLEX, "--s": _REALS, "--x-min": _REALS, "--x-max": _REALS,
-              "--points": st.integers(-2, 64).map(str)}
-    for flag, strategy in values.items():
-        text = draw(st.none() | strategy)
+    for flag, accepted in _PROFILE_VALUES.items():
+        # mostly an accepted value, so that most commands build a profile;
+        # a flag is left out, or takes an extreme value, one time in ten each
+        kind = draw(st.integers(0, 9))
+        text = None if kind == 0 else draw(_EXTREME_VALUES[flag] if kind == 1 else accepted)
         if text is not None:
             # both spellings: the value as its own argument goes through the
             # negative-number rewrite in `main`
@@ -603,7 +618,7 @@ _INTS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["x", "1e3", "2.
 @st.composite
 def _state_sweep_argv(draw):
     """A `state` of any family or a `sweep` of a family that has one, at
-    dim <= 40, with its flags drawn as `_wavefunction_argv` draws them."""
+    dim <= 40, with its flags drawn from `_REALS`, `_COMPLEX` and `_INTS`."""
     command = draw(st.sampled_from(["state", "sweep"]))
     names = sorted(name for name, f in cli.FAMILIES.items() if command == "state" or f.sweep)
     name = draw(st.sampled_from(names))
