@@ -1,6 +1,6 @@
-"""Every function in the package is reached from the package itself,
-every dataclass field is read there, scipy and ctypes are imported only
-where they are used, never at module level, each verify suite takes
+"""Every function and class in the package is reached from the package
+itself, every dataclass field is read there, scipy and ctypes are imported
+only where they are used, never at module level, each verify suite takes
 exactly the inputs its record declares, and every exception the package
 raises is one that the CLI turns into exit 2."""
 
@@ -26,15 +26,15 @@ ALLOWED_UNREFERENCED = {
 
 
 def _definitions_and_references():
-    """Names of all functions and methods, and for each name read as a
-    variable or attribute the functions whose bodies read it (None for
-    module or class level).  Methods are matched by name alone."""
+    """Names of all functions, methods and classes, and for each name read
+    as a variable or attribute the functions or classes whose bodies read
+    it (None for module level).  Methods are matched by name alone."""
     defined, used = set(), {}
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
 
         def visit(node, owner):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
                 owner = node.name
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -50,8 +50,7 @@ def _definitions_and_references():
 
 def test_every_function_has_a_caller_in_the_package():
     defined, used = _definitions_and_references()
-    # __all__ lists names as strings, so it counts as no reference; a
-    # function used only inside its own body (recursion) has no caller either
+    # a function used only inside its own body (recursion) has no caller
     unused = {
         name
         for name in defined
